@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check fmt vet race bench bench-smoke results
+.PHONY: all build test check fmt vet race determinism bench bench-smoke results
 
 all: build
 
@@ -10,10 +10,10 @@ build:
 test:
 	$(GO) test ./...
 
-# check is the CI gate: vet, formatting, and race-enabled tests (the
+# check is the CI gate: vet, formatting, race-enabled tests (the
 # parallel experiment runner and the HA replication machinery must be
-# race-clean).
-check: vet fmt race
+# race-clean), and the multi-core determinism gate.
+check: vet fmt race determinism
 
 vet:
 	$(GO) vet ./...
@@ -37,6 +37,19 @@ race:
 	$(GO) test -race -count=2 ./internal/routeserver/ha/
 	$(GO) test -race -count=2 -run 'TestConcurrent' ./internal/pgstate/
 	$(GO) test -race -count=2 ./internal/routeserver/plan/
+
+# determinism holds the experiments' scheduling-independence claims on
+# more than one CPU: the exactly-once synthesis counters E20 asserts and
+# the byte-identical report at any -parallel. A single-CPU run cannot
+# interleave goroutines the way the singleflight race needed, so every
+# step runs under GOMAXPROCS=2 and more than once.
+determinism:
+	GOMAXPROCS=2 $(GO) test -count=3 -run 'TestRunAllParallelDeterminism|TestE20RouteServer' ./internal/experiments/
+	@for i in 1 2 3; do \
+		for p in 1 8; do \
+			GOMAXPROCS=2 $(GO) run ./cmd/experiments -seed 42 -parallel $$p | cmp - results_seed42.txt || exit 1; \
+		done; \
+	done
 
 bench:
 	$(GO) test -bench=. -benchmem

@@ -9,6 +9,7 @@ package repro
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"os"
@@ -222,7 +223,7 @@ func BenchmarkE20RouteServer(b *testing.B) {
 		}
 	})
 
-	writeRouteServerBench(b, benchReport{
+	report := benchReport{
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
 		Requests:    len(workload),
 		CachedQPS:   cachedQPS,
@@ -230,7 +231,12 @@ func BenchmarkE20RouteServer(b *testing.B) {
 		SynthCached: synthCached,
 		SynthNaive:  synthNaive,
 		Reduction:   float64(synthNaive) / float64(synthCached),
-	})
+	}
+	// Speedup is naive time per request over cached time per request.
+	if naiveQPS > 0 {
+		report.Speedup = cachedQPS / naiveQPS
+	}
+	writeBenchJSON(b, "BENCH_routeserver.json", report)
 }
 
 // BenchmarkE22ScopedInvalidation measures serving under churn with the two
@@ -270,27 +276,24 @@ func BenchmarkE22ScopedInvalidation(b *testing.B) {
 	}
 
 	// The timeline restores every failed link, so the graph is back in its
-	// initial state after each iteration.
-	events := func(scoped bool) []routeserver.Event {
+	// initial state after each iteration. Full mode fires zero-value
+	// Changes (whole-cache generation bumps).
+	events := func(srv *routeserver.Server, scoped bool) []daemon.LoadEvent {
 		g := topo.Graph
-		mk := func(after float64, l ad.Link, down bool) routeserver.Event {
-			ev := routeserver.Event{After: after}
+		mk := func(after float64, l ad.Link, down bool) daemon.LoadEvent {
+			ev := daemon.LoadEvent{After: after, Label: "restore"}
+			apply, ch := func() { _ = g.AddLink(l) }, synthesis.LinkUpChange(l.A, l.B)
 			if down {
 				ev.Label = "fail"
-				ev.Apply = func() { g.RemoveLink(l.A, l.B) }
-				if scoped {
-					ev.Change = synthesis.LinkDownChange(l.A, l.B)
-				}
-			} else {
-				ev.Label = "restore"
-				ev.Apply = func() { _ = g.AddLink(l) }
-				if scoped {
-					ev.Change = synthesis.LinkUpChange(l.A, l.B)
-				}
+				apply, ch = func() { g.RemoveLink(l.A, l.B) }, synthesis.LinkDownChange(l.A, l.B)
 			}
+			if !scoped {
+				ch = synthesis.Change{}
+			}
+			ev.Fire = func() error { srv.MutateScoped(ch, apply); return nil }
 			return ev
 		}
-		return []routeserver.Event{
+		return []daemon.LoadEvent{
 			mk(0.2, laterals[0], true), mk(0.4, laterals[0], false),
 			mk(0.6, laterals[1], true), mk(0.8, laterals[1], false),
 		}
@@ -301,14 +304,15 @@ func BenchmarkE22ScopedInvalidation(b *testing.B) {
 		mode := mode
 		b.Run(mode, func(b *testing.B) {
 			srv := routeserver.New(synthesis.NewOnDemand(topo.Graph, db), routeserver.Config{})
+			dial := daemon.BackendDialer(daemon.NewBackend(srv, nil, topo.Graph, db))
 			sink += len(routeserver.ServePhase(srv, workload, 4)) // warm
 			warm := srv.Snapshot()
 			var qps float64
 			b.ResetTimer()
 			start := time.Now()
 			for i := 0; i < b.N; i++ {
-				rep := routeserver.Run(srv, workload, routeserver.LoadConfig{
-					Clients: 4, Events: events(mode == "scoped"),
+				rep := daemon.LoadRun(workload, daemon.LoadConfig{
+					Dial: dial, Clients: 4, Events: events(srv, mode == "scoped"),
 				})
 				sink += rep.Served
 			}
@@ -329,13 +333,7 @@ func BenchmarkE22ScopedInvalidation(b *testing.B) {
 	if report.SynthFullPerRun > 0 {
 		report.SynthAvoided = 1 - report.SynthScopedPerRun/report.SynthFullPerRun
 	}
-	out, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		b.Fatalf("marshal bench report: %v", err)
-	}
-	if err := os.WriteFile("BENCH_scopedinvalidation.json", append(out, '\n'), 0o644); err != nil {
-		b.Fatalf("write BENCH_scopedinvalidation.json: %v", err)
-	}
+	writeBenchJSON(b, "BENCH_scopedinvalidation.json", report)
 }
 
 // BenchmarkDaemonChurn measures the network daemon end to end: a TCP
@@ -394,19 +392,31 @@ func BenchmarkDaemonChurn(b *testing.B) {
 			}
 			go d.Serve(ln)
 
+			addrs := []string{ln.Addr().String()}
+			ctl := daemon.DialFailover("tcp", addrs, daemon.DefaultTimeout, benchSeed)
+			control := func(op uint8) func() error {
+				return func() error {
+					rep, err := ctl.Control(op, lateral.A, lateral.B, 0)
+					if err == nil && !rep.OK() {
+						err = errors.New(rep.Err)
+					}
+					return err
+				}
+			}
 			var last daemon.LoadReport
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				last = daemon.LoadRun("tcp", ln.Addr().String(), workload, daemon.LoadConfig{
+				last = daemon.LoadRun(workload, daemon.LoadConfig{
+					Dial:           daemon.FailoverDialer("tcp", addrs),
 					Clients:        clients,
 					ReconnectEvery: 4, // each client redials ~2x over its 10-request slice
-					Events: []daemon.ChurnEvent{
-						{After: 0.4, Op: wire.CtlFail, A: lateral.A, B: lateral.B},
-						{After: 0.7, Op: wire.CtlRestore, A: lateral.A, B: lateral.B},
+					Events: []daemon.LoadEvent{
+						{After: 0.4, Label: "fail", Fire: control(wire.CtlFail)},
+						{After: 0.7, Label: "restore", Fire: control(wire.CtlRestore)},
 					},
 				})
-				if last.Errors > 0 {
-					b.Fatalf("load run hit %d errors", last.Errors)
+				if last.Errors > 0 || last.EventErr != nil {
+					b.Fatalf("load run hit %d errors, event error %v", last.Errors, last.EventErr)
 				}
 				if last.Served+last.NoRoute != last.Requests {
 					b.Fatalf("accounting: %d served + %d no-route != %d requests",
@@ -414,6 +424,7 @@ func BenchmarkDaemonChurn(b *testing.B) {
 				}
 			}
 			b.StopTimer()
+			ctl.Close()
 			d.Drain() // graceful: in-flight replies flushed, zero drops above
 			m := d.Metrics()
 
@@ -435,13 +446,7 @@ func BenchmarkDaemonChurn(b *testing.B) {
 			}
 		})
 	}
-	out, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		b.Fatalf("marshal bench report: %v", err)
-	}
-	if err := os.WriteFile("BENCH_daemon.json", append(out, '\n'), 0o644); err != nil {
-		b.Fatalf("write BENCH_daemon.json: %v", err)
-	}
+	writeBenchJSON(b, "BENCH_daemon.json", report)
 }
 
 // BenchmarkHAFailover measures a 3-replica HA group end to end: TCP
@@ -449,7 +454,7 @@ func BenchmarkDaemonChurn(b *testing.B) {
 // to the followers, then a SIGKILL-model primary death mid-run. Each
 // iteration builds a fresh group (the kill is destructive), warms the
 // primary, barriers the followers to the backlog tail, and drives the
-// workload through daemon.LoadRun in failover mode while a side goroutine
+// workload through daemon.LoadRun with failover clients while a side goroutine
 // kills the primary and clocks the promotion. It emits BENCH_ha.json:
 // throughput and tail latency around the failover, the redirect/reconnect
 // work the clients did, the availability gap (longest reply stall,
@@ -552,8 +557,8 @@ func BenchmarkHAFailover(b *testing.B) {
 			failover = time.Since(start)
 		}()
 		b.StartTimer()
-		last = daemon.LoadRun("tcp", "", workload, daemon.LoadConfig{
-			Clients: clients, Addrs: addrs, Seed: benchSeed,
+		last = daemon.LoadRun(workload, daemon.LoadConfig{
+			Dial: daemon.FailoverDialer("tcp", addrs), Clients: clients, Seed: benchSeed,
 		})
 		b.StopTimer()
 		<-done
@@ -588,13 +593,7 @@ func BenchmarkHAFailover(b *testing.B) {
 		AvailabilityGapMS: float64(last.MaxStall.Nanoseconds()) / 1e6,
 		FailoverLatencyMS: float64(failover.Nanoseconds()) / 1e6,
 	}
-	out, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		b.Fatalf("marshal bench report: %v", err)
-	}
-	if err := os.WriteFile("BENCH_ha.json", append(out, '\n'), 0o644); err != nil {
-		b.Fatalf("write BENCH_ha.json: %v", err)
-	}
+	writeBenchJSON(b, "BENCH_ha.json", report)
 }
 
 // BenchmarkPGStateMillion holds 1M+ soft-state handles in one sharded
@@ -701,13 +700,7 @@ func BenchmarkPGStateMillion(b *testing.B) {
 		sink += expired
 	}
 
-	out, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		b.Fatalf("marshal bench report: %v", err)
-	}
-	if err := os.WriteFile("BENCH_pgstate.json", append(out, '\n'), 0o644); err != nil {
-		b.Fatalf("write BENCH_pgstate.json: %v", err)
-	}
+	writeBenchJSON(b, "BENCH_pgstate.json", report)
 }
 
 // adID maps a small int to an ad.ID for benchmark route construction.
@@ -790,17 +783,16 @@ type benchReport struct {
 	Reduction   float64 `json:"synth_reduction"`
 }
 
-func writeRouteServerBench(b *testing.B, r benchReport) {
-	// Speedup is naive time per request over cached time per request.
-	if r.NaiveQPS > 0 {
-		r.Speedup = r.CachedQPS / r.NaiveQPS
-	}
-	out, err := json.MarshalIndent(r, "", "  ")
+// writeBenchJSON writes a benchmark's machine-readable report to name in
+// the working directory (the BENCH_*.json files bench-smoke leaves behind).
+func writeBenchJSON(b *testing.B, name string, v any) {
+	b.Helper()
+	out, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
-		b.Fatalf("marshal bench report: %v", err)
+		b.Fatalf("marshal %s: %v", name, err)
 	}
-	if err := os.WriteFile("BENCH_routeserver.json", append(out, '\n'), 0o644); err != nil {
-		b.Fatalf("write BENCH_routeserver.json: %v", err)
+	if err := os.WriteFile(name, append(out, '\n'), 0o644); err != nil {
+		b.Fatalf("write %s: %v", name, err)
 	}
 }
 
@@ -1107,13 +1099,7 @@ func BenchmarkPlan(b *testing.B) {
 		report.CacheScaling = (c/a + d/b1) / 2
 		report.RadiusScaling = (b1/a + d/c) / 2
 	}
-	out, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		b.Fatalf("marshal bench report: %v", err)
-	}
-	if err := os.WriteFile("BENCH_plan.json", append(out, '\n'), 0o644); err != nil {
-		b.Fatalf("write BENCH_plan.json: %v", err)
-	}
+	writeBenchJSON(b, "BENCH_plan.json", report)
 }
 
 // planBenchWorld builds the controlled serving state: two transit hubs
@@ -1260,11 +1246,5 @@ func BenchmarkParallelSynth(b *testing.B) {
 	if rep.Points[0].MissQPS > 0 {
 		rep.Scaling4Over1 = rep.Points[2].MissQPS / rep.Points[0].MissQPS
 	}
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		b.Fatalf("marshal bench report: %v", err)
-	}
-	if err := os.WriteFile("BENCH_parallelsynth.json", append(out, '\n'), 0o644); err != nil {
-		b.Fatalf("write BENCH_parallelsynth.json: %v", err)
-	}
+	writeBenchJSON(b, "BENCH_parallelsynth.json", rep)
 }

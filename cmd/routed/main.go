@@ -35,14 +35,17 @@
 //     the lowest live ID when it goes silent.
 //
 //   - Load mode (-load): replays a synthetic workload (uniform / Zipf /
-//     gravity) from -clients concurrent goroutines, optionally injecting
+//     gravity) from -clients concurrent clients, optionally injecting
 //     churn mid-run (-churn, or a -scenario file's event timeline), then
 //     prints a serving report. -bench-json writes it machine-readably.
-//     With -connect addr the workload is instead replayed over the wire
-//     against a running daemon, one connection per client, with optional
-//     connection churn (-reconnect-every); a comma-separated -connect
-//     list makes every client a failover client over the replica group
-//     (NotPrimary redirects followed, dead replicas rotated past).
+//     The target is the in-process backend, or with -connect addr a
+//     running daemon over the wire, one connection per client, with
+//     optional connection churn (-reconnect-every); a comma-separated
+//     -connect list makes every client a failover client over the replica
+//     group (NotPrimary redirects followed, dead replicas rotated past).
+//     Both targets run through the same harness and print the same
+//     report; the in-process one adds the server's cache, churn and
+//     synthesis lines.
 //
 // The internet is either generated (-seed and the topology defaults shared
 // with the experiment harness) or taken from a -scenario file, in which case
@@ -62,6 +65,7 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -92,45 +96,54 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
 }
 
-func run() int {
+// run is the whole command over explicit arguments and streams, so tests
+// can drive every mode end to end.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("routed", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		scenarioPath   = flag.String("scenario", "", "scenario file supplying topology, policy, workload, and churn events")
-		seed           = flag.Int64("seed", 42, "seed for the generated internet and workload")
-		strategy       = flag.String("strategy", "on-demand", "synthesis strategy: on-demand, precomputed, hybrid, pruned")
-		cacheCap       = flag.Int("cache", 0, "server route-cache capacity in entries (0 = default, <0 = unbounded)")
-		shards         = flag.Int("shards", 0, "cache shard count, rounded up to a power of two (0 = default)")
-		workers        = flag.Int("workers", 0, "max concurrent synthesis computations (0 = GOMAXPROCS)")
-		load           = flag.Bool("load", false, "run the load generator instead of reading stdin")
-		clients        = flag.Int("clients", 4, "concurrent client goroutines in load mode")
-		requests       = flag.Int("requests", 2000, "workload length in load mode (ignored with -scenario)")
-		model          = flag.String("model", "zipf", "workload model in load mode: uniform, zipf, gravity")
-		zipfS          = flag.Float64("zipf", 1.4, "Zipf skew for -model zipf")
-		qosClasses     = flag.Int("qos", 2, "QOS classes in the workload and precomputation")
-		uciClasses     = flag.Int("uci", 2, "UCI classes in the workload and precomputation")
-		churn          = flag.Bool("churn", false, "load mode: fail a lateral link at 40% and restore it at 70% of the run")
-		benchJSON      = flag.String("bench-json", "", "load mode: also write the report as JSON to this file")
-		listenAddr     = flag.String("listen", "", "serve the binary protocol on this TCP address (daemon mode)")
-		unixPath       = flag.String("unix", "", "serve the binary protocol on this unix socket path (daemon mode)")
-		connectAddr    = flag.String("connect", "", "load mode: drive a running daemon at this address instead of serving in-process (host:port, or a unix socket path containing '/')")
-		maxConns       = flag.Int("max-conns", 0, "daemon mode: concurrent connection limit (0 = default 2048)")
-		writeQueue     = flag.Int("write-queue", 0, "daemon mode: per-session reply queue length (0 = default 128)")
-		writeTimeout   = flag.Duration("write-timeout", 0, "daemon mode: slow-client grace before eviction (0 = default 2s)")
-		reconnectEvery = flag.Int("reconnect-every", 0, "load mode with -connect: each client redials after this many requests (0 = never)")
-		replicaID      = flag.Uint("replica-id", 0, "daemon mode: this replica's ID in an HA group (0 = standalone)")
-		peersFlag      = flag.String("peers", "", "daemon mode: HA group membership as ID@haAddr@clientAddr, comma-separated, this replica included")
-		replicaOf      = flag.Uint("replica-of", 0, "daemon mode: initial primary's replica ID (0 = lowest peer ID)")
-		stateKind      = flag.String("state", "hard", "PG handle lifecycle for installed routes: hard, soft, capped")
-		stateTTL       = flag.Duration("state-ttl", 30*time.Second, "soft-state TTL in simulated time (-state soft)")
-		stateCap       = flag.Int("state-cap", 64, "per-PG handle capacity (-state capped)")
-		cpuProfile     = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-		memProfile     = flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
-		blockProfile   = flag.String("blockprofile", "", "write a pprof blocking profile to this file on exit")
-		mutexProfile   = flag.String("mutexprofile", "", "write a pprof mutex-contention profile to this file on exit")
+		scenarioPath   = fs.String("scenario", "", "scenario file supplying topology, policy, workload, and churn events")
+		seed           = fs.Int64("seed", 42, "seed for the generated internet and workload")
+		strategy       = fs.String("strategy", "on-demand", "synthesis strategy: on-demand, precomputed, hybrid, pruned")
+		cacheCap       = fs.Int("cache", 0, "server route-cache capacity in entries (0 = default, <0 = unbounded)")
+		shards         = fs.Int("shards", 0, "cache shard count, rounded up to a power of two (0 = default)")
+		workers        = fs.Int("workers", 0, "max concurrent synthesis computations (0 = GOMAXPROCS)")
+		load           = fs.Bool("load", false, "run the load generator instead of reading stdin")
+		clients        = fs.Int("clients", 4, "concurrent client goroutines in load mode")
+		requests       = fs.Int("requests", 2000, "workload length in load mode (ignored with -scenario)")
+		model          = fs.String("model", "zipf", "workload model in load mode: uniform, zipf, gravity")
+		zipfS          = fs.Float64("zipf", 1.4, "Zipf skew for -model zipf")
+		qosClasses     = fs.Int("qos", 2, "QOS classes in the workload and precomputation")
+		uciClasses     = fs.Int("uci", 2, "UCI classes in the workload and precomputation")
+		churn          = fs.Bool("churn", false, "load mode: fail a lateral link at 40% and restore it at 70% of the run")
+		benchJSON      = fs.String("bench-json", "", "load mode: also write the report as JSON to this file")
+		listenAddr     = fs.String("listen", "", "serve the binary protocol on this TCP address (daemon mode)")
+		unixPath       = fs.String("unix", "", "serve the binary protocol on this unix socket path (daemon mode)")
+		connectAddr    = fs.String("connect", "", "load mode: drive a running daemon at this address instead of serving in-process (host:port, or a unix socket path containing '/')")
+		maxConns       = fs.Int("max-conns", 0, "daemon mode: concurrent connection limit (0 = default 2048)")
+		writeQueue     = fs.Int("write-queue", 0, "daemon mode: per-session reply queue length (0 = default 128)")
+		writeTimeout   = fs.Duration("write-timeout", 0, "daemon mode: slow-client grace before eviction (0 = default 2s)")
+		reconnectEvery = fs.Int("reconnect-every", 0, "load mode with -connect: each client redials after this many requests (0 = never)")
+		replicaID      = fs.Uint("replica-id", 0, "daemon mode: this replica's ID in an HA group (0 = standalone)")
+		peersFlag      = fs.String("peers", "", "daemon mode: HA group membership as ID@haAddr@clientAddr, comma-separated, this replica included")
+		replicaOf      = fs.Uint("replica-of", 0, "daemon mode: initial primary's replica ID (0 = lowest peer ID)")
+		stateKind      = fs.String("state", "hard", "PG handle lifecycle for installed routes: hard, soft, capped")
+		stateTTL       = fs.Duration("state-ttl", 30*time.Second, "soft-state TTL in simulated time (-state soft)")
+		stateCap       = fs.Int("state-cap", 64, "per-PG handle capacity (-state capped)")
+		cpuProfile     = fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
+		memProfile     = fs.String("memprofile", "", "write a pprof heap profile to this file on exit")
+		blockProfile   = fs.String("blockprofile", "", "write a pprof blocking profile to this file on exit")
+		mutexProfile   = fs.String("mutexprofile", "", "write a pprof mutex-contention profile to this file on exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if err := validateFlags(flagCoherence{
 		Load:           *load,
@@ -143,15 +156,20 @@ func run() int {
 		Peers:          *peersFlag,
 		ReplicaOf:      *replicaOf,
 	}); err != nil {
-		fmt.Fprintf(os.Stderr, "routed: %v\n", err)
-		flag.Usage()
+		fmt.Fprintf(stderr, "routed: %v\n", err)
+		fs.Usage()
 		return 2
 	}
 
-	g, db, workload, events, err := materialize(*scenarioPath, *seed, *requests, *model, *zipfS, *qosClasses, *uciClasses)
+	g, db, workload, muts, err := materialize(*scenarioPath, *seed, *requests, *model, *zipfS, *qosClasses, *uciClasses)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 1
+	}
+	if *connectAddr != "" && len(muts) > 0 {
+		fmt.Fprintln(stderr, "routed: -scenario events cannot be sent over -connect (update-policy terms have no wire encoding); drop -connect to replay them in-process")
+		fs.Usage()
+		return 2
 	}
 
 	srv := routeserver.New(buildStrategy(*strategy, g, db, workload, *qosClasses, *uciClasses), routeserver.Config{
@@ -170,79 +188,69 @@ func run() int {
 		Capacity: *stateCap,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 2
 	}
 
 	stopProfiles, err := startProfiles(*cpuProfile, *memProfile, *blockProfile, *mutexProfile)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 2
 	}
 	defer stopProfiles()
 
-	if *load && *connectAddr != "" {
-		// Network load mode: drive a running daemon over the wire. The
-		// workload (and the -churn timeline) is regenerated locally from the
-		// same seed, so client and daemon agree on the topology.
-		var events []daemon.ChurnEvent
+	be := daemon.NewBackend(srv, dp, g, db)
+
+	if *load {
+		// -connect changes only the target: the in-process backend, or a
+		// running daemon (a comma-separated list: an HA replica set) over the
+		// wire. The workload and the -churn timeline are regenerated locally
+		// from the same seed, so client and daemon agree on the topology.
+		dial := daemon.BackendDialer(be)
+		ctl := func(op uint8, a, b ad.ID, cost uint32) (*wire.ControlReply, error) {
+			return be.HandleControl(&wire.Control{Op: op, A: a, B: b, Cost: cost}), nil
+		}
+		local := srv
+		if *connectAddr != "" {
+			addrs := strings.Split(*connectAddr, ",")
+			network := networkOf(addrs[0])
+			fo := daemon.DialFailover(network, addrs, daemon.DefaultTimeout, *seed)
+			defer fo.Close()
+			dial, ctl, local = daemon.FailoverDialer(network, addrs), fo.Control, nil
+		}
+		events := scenarioEvents(srv, muts)
 		if *churn {
-			events = wireChurnEvents(g)
+			events = append(events, churnEvents(g, ctl)...)
 		}
-		// A comma-separated -connect names an HA replica set: clients fail
-		// over between the addresses and follow NotPrimary redirects.
-		var addrs []string
-		first := *connectAddr
-		if strings.Contains(*connectAddr, ",") {
-			addrs = strings.Split(*connectAddr, ",")
-			first = addrs[0]
-		}
-		rep := daemon.LoadRun(networkOf(first), first, workload, daemon.LoadConfig{
+		rep := daemon.LoadRun(workload, daemon.LoadConfig{
+			Dial:           dial,
 			Clients:        *clients,
 			ReconnectEvery: *reconnectEvery,
 			Events:         events,
-			Addrs:          addrs,
 			Seed:           *seed,
 		})
-		printNetReport(os.Stdout, rep)
+		printReport(stdout, local, rep)
 		if *benchJSON != "" {
-			if err := writeNetJSON(*benchJSON, rep); err != nil {
-				fmt.Fprintln(os.Stderr, err)
+			if err := writeJSON(*benchJSON, local, rep); err != nil {
+				fmt.Fprintln(stderr, err)
 				return 1
 			}
 		}
-		if rep.Errors > 0 {
+		if rep.Errors > 0 || rep.EventErr != nil {
 			return 1
 		}
 		return 0
 	}
 
-	if *load {
-		if *churn {
-			events = append(events, churnEvents(g)...)
-		}
-		rep := routeserver.Run(srv, workload, routeserver.LoadConfig{Clients: *clients, Events: events})
-		printReport(os.Stdout, srv, rep)
-		if *benchJSON != "" {
-			if err := writeJSON(*benchJSON, srv, rep); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return 1
-			}
-		}
-		return 0
-	}
-
-	be := daemon.NewBackend(srv, dp, g, db)
-
 	if *listenAddr != "" || *unixPath != "" {
-		return runDaemon(be, *listenAddr, *unixPath, daemon.Config{
+		return runDaemon(stdout, stderr, be, *listenAddr, *unixPath, daemon.Config{
 			MaxConns:     *maxConns,
 			WriteQueue:   *writeQueue,
 			WriteTimeout: *writeTimeout,
 		}, uint32(*replicaID), uint32(*replicaOf), *peersFlag)
 	}
 
-	if err := serve(os.Stdin, os.Stdout, be); err != nil {
+	if err := serve(stdin, stdout, be); err != nil {
 		return 1
 	}
 	return 0
@@ -300,19 +308,19 @@ func validateFlags(f flagCoherence) error {
 // connections close. With replicaID and peers set, the daemon joins an HA
 // replica group: followers stream the primary's warm state and redirect
 // clients, and a dead primary is failed over by heartbeat election.
-func runDaemon(be *daemon.Backend, tcpAddr, unixPath string, cfg daemon.Config, replicaID, replicaOf uint32, peersSpec string) int {
+func runDaemon(stdout, stderr io.Writer, be *daemon.Backend, tcpAddr, unixPath string, cfg daemon.Config, replicaID, replicaOf uint32, peersSpec string) int {
 	d := daemon.New(be, cfg)
 	if replicaID != 0 {
 		peers, err := parsePeers(peersSpec)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 2
 		}
 		node, err := ha.NewNode(ha.Config{
 			ID: replicaID, Peers: peers, Primary: replicaOf,
 		}, be, d)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 2
 		}
 		node.Start()
@@ -321,13 +329,13 @@ func runDaemon(be *daemon.Backend, tcpAddr, unixPath string, cfg daemon.Config, 
 		if node.IsPrimary() {
 			role = "primary"
 		}
-		fmt.Printf("replica %d (%s) replicating on %v\n", replicaID, role, node.Addr())
+		fmt.Fprintf(stdout, "replica %d (%s) replicating on %v\n", replicaID, role, node.Addr())
 	}
 	var listeners []net.Listener
 	if tcpAddr != "" {
 		ln, err := net.Listen("tcp", tcpAddr)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 2
 		}
 		listeners = append(listeners, ln)
@@ -335,16 +343,16 @@ func runDaemon(be *daemon.Backend, tcpAddr, unixPath string, cfg daemon.Config, 
 	if unixPath != "" {
 		ln, err := net.Listen("unix", unixPath)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 2
 		}
 		listeners = append(listeners, ln)
 	}
 	for _, ln := range listeners {
-		fmt.Printf("listening on %v\n", ln.Addr())
+		fmt.Fprintf(stdout, "listening on %v\n", ln.Addr())
 		go func(ln net.Listener) {
 			if err := d.Serve(ln); err != nil {
-				fmt.Fprintln(os.Stderr, err)
+				fmt.Fprintln(stderr, err)
 			}
 		}(ln)
 	}
@@ -359,7 +367,7 @@ func runDaemon(be *daemon.Backend, tcpAddr, unixPath string, cfg daemon.Config, 
 
 	<-d.Done()
 	m := d.Metrics()
-	fmt.Printf("drained: %d sessions served, %d requests, %d refused, %d evicted\n",
+	fmt.Fprintf(stdout, "drained: %d sessions served, %d requests, %d refused, %d evicted\n",
 		m.Accepted, m.Requests, m.Refused, m.Evicted)
 	return 0
 }
@@ -391,61 +399,6 @@ func networkOf(addr string) string {
 		return "unix"
 	}
 	return "tcp"
-}
-
-// wireChurnEvents is -churn for network load mode: the same lateral-link
-// fail/restore timeline as churnEvents, expressed as protocol messages.
-func wireChurnEvents(g *ad.Graph) []daemon.ChurnEvent {
-	links := g.Links()
-	if len(links) == 0 {
-		return nil
-	}
-	target := links[0]
-	for _, l := range links {
-		if l.Class == ad.Lateral {
-			target = l
-			break
-		}
-	}
-	return []daemon.ChurnEvent{
-		{After: 0.4, Op: wire.CtlFail, A: target.A, B: target.B},
-		{After: 0.7, Op: wire.CtlRestore, A: target.A, B: target.B},
-	}
-}
-
-// printNetReport renders a network load-mode report.
-func printNetReport(w io.Writer, rep daemon.LoadReport) {
-	fmt.Fprintf(w, "requests    %d (%d served, %d no-route, %d errors)\n",
-		rep.Requests, rep.Served, rep.NoRoute, rep.Errors)
-	fmt.Fprintf(w, "elapsed     %v (%.0f qps)\n", rep.Elapsed, rep.QPS)
-	fmt.Fprintf(w, "churn       %d reconnects, %d failed dials, %d redirects\n",
-		rep.Reconnects, rep.ReconnectFailures, rep.Redirects)
-	fmt.Fprintf(w, "stall       %v max gap between replies\n", rep.MaxStall)
-	fmt.Fprintf(w, "latency     p50 %v  p95 %v  p99 %v\n",
-		rep.Latency.P50, rep.Latency.P95, rep.Latency.P99)
-}
-
-// writeNetJSON writes the machine-readable form of a network load report.
-func writeNetJSON(path string, rep daemon.LoadReport) error {
-	out, err := json.MarshalIndent(map[string]any{
-		"requests":           rep.Requests,
-		"served":             rep.Served,
-		"no_route":           rep.NoRoute,
-		"errors":             rep.Errors,
-		"reconnects":         rep.Reconnects,
-		"reconnect_failures": rep.ReconnectFailures,
-		"redirects":          rep.Redirects,
-		"max_stall_ns":       rep.MaxStall.Nanoseconds(),
-		"elapsed_ns":         rep.Elapsed.Nanoseconds(),
-		"qps":                rep.QPS,
-		"latency_p50":        rep.Latency.P50.Nanoseconds(),
-		"latency_p95":        rep.Latency.P95.Nanoseconds(),
-		"latency_p99":        rep.Latency.P99.Nanoseconds(),
-	}, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
 }
 
 // startProfiles begins CPU profiling, enables block/mutex sampling when
@@ -507,10 +460,10 @@ func startProfiles(cpuPath, memPath, blockPath, mutexPath string) (stop func(), 
 }
 
 // materialize builds the internet and workload, either from a scenario file
-// (whose events become the churn timeline, spread evenly through the run)
-// or generated from the seed.
+// (which also supplies the event mutations scenarioEvents turns into the
+// churn timeline) or generated from the seed.
 func materialize(path string, seed int64, requests int, model string, zipfS float64, qos, uci int) (
-	*ad.Graph, *policy.DB, []policy.Request, []routeserver.Event, error) {
+	*ad.Graph, *policy.DB, []policy.Request, []scenario.Mutation, error) {
 	if path == "" {
 		topo := topology.Generate(topology.Config{
 			Seed:                 seed,
@@ -559,16 +512,23 @@ func materialize(path string, seed int64, requests int, model string, zipfS floa
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
-	events := make([]routeserver.Event, len(muts))
+	return g, db, workload, muts, nil
+}
+
+// scenarioEvents spreads a scenario's mutations evenly through the run,
+// each applied under srv.MutateScoped. They stay in-process: a scenario's
+// update-policy terms have no wire encoding.
+func scenarioEvents(srv *routeserver.Server, muts []scenario.Mutation) []daemon.LoadEvent {
+	events := make([]daemon.LoadEvent, len(muts))
 	for i, m := range muts {
-		events[i] = routeserver.Event{
-			After:  float64(i+1) / float64(len(muts)+1),
-			Label:  m.Label,
-			Apply:  m.Apply,
-			Change: m.Change,
+		m := m
+		events[i] = daemon.LoadEvent{
+			After: float64(i+1) / float64(len(muts)+1),
+			Label: m.Label,
+			Fire:  func() error { srv.MutateScoped(m.Change, m.Apply); return nil },
 		}
 	}
-	return g, db, workload, events, nil
+	return events
 }
 
 // buildStrategy constructs the named synthesis strategy sized to the
@@ -608,10 +568,15 @@ func buildStrategy(kind string, g *ad.Graph, db *policy.DB, workload []policy.Re
 	}
 }
 
+// controlFunc issues one control op against the load target: the
+// backend's HandleControl in process, a failover client's Control over the
+// wire.
+type controlFunc func(op uint8, a, b ad.ID, cost uint32) (*wire.ControlReply, error)
+
 // churnEvents is the built-in -churn timeline: the first lateral link (or,
 // failing that, the first link) goes down at 40% of the run and comes back
-// at 70%.
-func churnEvents(g *ad.Graph) []routeserver.Event {
+// at 70%, both through ctl.
+func churnEvents(g *ad.Graph, ctl controlFunc) []daemon.LoadEvent {
 	links := g.Links()
 	if len(links) == 0 {
 		return nil
@@ -623,59 +588,87 @@ func churnEvents(g *ad.Graph) []routeserver.Event {
 			break
 		}
 	}
-	return []routeserver.Event{
-		{After: 0.4, Label: fmt.Sprintf("fail %v-%v", target.A, target.B),
-			Apply:  func() { g.RemoveLink(target.A, target.B) },
-			Change: synthesis.LinkDownChange(target.A, target.B)},
-		{After: 0.7, Label: fmt.Sprintf("restore %v-%v", target.A, target.B),
-			Apply:  func() { _ = g.AddLink(target) },
-			Change: synthesis.LinkUpChange(target.A, target.B)},
+	fire := func(op uint8) func() error {
+		return func() error {
+			rep, err := ctl(op, target.A, target.B, 0)
+			if err == nil && !rep.OK() {
+				err = errors.New(rep.Err)
+			}
+			return err
+		}
+	}
+	return []daemon.LoadEvent{
+		{After: 0.4, Label: fmt.Sprintf("fail %v-%v", target.A, target.B), Fire: fire(wire.CtlFail)},
+		{After: 0.7, Label: fmt.Sprintf("restore %v-%v", target.A, target.B), Fire: fire(wire.CtlRestore)},
 	}
 }
 
-// printReport renders a load-mode serving report.
-func printReport(w io.Writer, srv *routeserver.Server, rep routeserver.Report) {
-	m := rep.Metrics
-	fmt.Fprintf(w, "strategy    %s\n", srv.StrategyName())
-	fmt.Fprintf(w, "requests    %d (%d served, %d no-route)\n", rep.Requests, rep.Served, rep.NoRoute)
+// printReport renders a load-mode report. The first lines are the same
+// for every target; srv, the in-process server (nil over the wire), adds
+// the strategy, cache, churn and synthesis lines.
+func printReport(w io.Writer, srv *routeserver.Server, rep daemon.LoadReport) {
+	fmt.Fprintf(w, "requests    %d (%d served, %d no-route, %d errors)\n",
+		rep.Requests, rep.Served, rep.NoRoute, rep.Errors)
 	fmt.Fprintf(w, "elapsed     %v (%.0f qps)\n", rep.Elapsed, rep.QPS)
+	fmt.Fprintf(w, "conns       %d reconnects, %d failed dials, %d redirects\n",
+		rep.Reconnects, rep.ReconnectFailures, rep.Redirects)
+	fmt.Fprintf(w, "stall       %v max gap between replies\n", rep.MaxStall)
+	fmt.Fprintf(w, "latency     p50 %v  p95 %v  p99 %v (client-measured)\n",
+		rep.Latency.P50, rep.Latency.P95, rep.Latency.P99)
+	if rep.EventErr != nil {
+		fmt.Fprintf(w, "events      timeline stopped: %v\n", rep.EventErr)
+	}
+	if srv == nil {
+		return
+	}
+	m := srv.Snapshot()
+	fmt.Fprintf(w, "strategy    %s\n", srv.StrategyName())
 	fmt.Fprintf(w, "cache       %d hits, %d coalesced, %d misses (%.1f%% served without synthesis)\n",
 		m.Hits, m.Coalesced, m.Misses, 100*m.HitRate())
 	fmt.Fprintf(w, "churn       %d full invalidations, %d scoped (%d evicted, %d retained), %d evictions\n",
 		m.Invalidations, m.ScopedMutations, m.ScopedEvicted, m.ScopedRetained, m.Evictions)
-	fmt.Fprintf(w, "latency     p50 %v  p95 %v  p99 %v\n", m.Latency.P50, m.Latency.P95, m.Latency.P99)
-	st := rep.Strategy
+	st := srv.StrategyStats()
 	fmt.Fprintf(w, "synthesis   %d precompute + %d on-demand expansions, %d entries cached by the strategy\n",
 		st.PrecomputeExpansions, st.OnDemandExpansions, st.CacheEntries)
 }
 
-// writeJSON writes the machine-readable form of the report.
-func writeJSON(path string, srv *routeserver.Server, rep routeserver.Report) error {
-	m := rep.Metrics
-	out, err := json.MarshalIndent(map[string]any{
-		"strategy":         srv.StrategyName(),
-		"requests":         rep.Requests,
-		"served":           rep.Served,
-		"no_route":         rep.NoRoute,
-		"elapsed_ns":       rep.Elapsed.Nanoseconds(),
-		"qps":              rep.QPS,
-		"hits":             m.Hits,
-		"coalesced":        m.Coalesced,
-		"misses":           m.Misses,
-		"hit_rate":         m.HitRate(),
-		"invalidations":    m.Invalidations,
-		"scoped_mutations": m.ScopedMutations,
-		"scoped_evicted":   m.ScopedEvicted,
-		"scoped_retained":  m.ScopedRetained,
-		"evictions":        m.Evictions,
-		"latency_p50":      m.Latency.P50.Nanoseconds(),
-		"latency_p95":      m.Latency.P95.Nanoseconds(),
-		"latency_p99":      m.Latency.P99.Nanoseconds(),
-	}, "", "  ")
+// writeJSON writes the machine-readable form of the report: the shared
+// keys, plus the server's counters when srv (the in-process server) is
+// non-nil.
+func writeJSON(path string, srv *routeserver.Server, rep daemon.LoadReport) error {
+	out := map[string]any{
+		"requests":           rep.Requests,
+		"served":             rep.Served,
+		"no_route":           rep.NoRoute,
+		"errors":             rep.Errors,
+		"reconnects":         rep.Reconnects,
+		"reconnect_failures": rep.ReconnectFailures,
+		"redirects":          rep.Redirects,
+		"max_stall_ns":       rep.MaxStall.Nanoseconds(),
+		"elapsed_ns":         rep.Elapsed.Nanoseconds(),
+		"qps":                rep.QPS,
+		"latency_p50":        rep.Latency.P50.Nanoseconds(),
+		"latency_p95":        rep.Latency.P95.Nanoseconds(),
+		"latency_p99":        rep.Latency.P99.Nanoseconds(),
+	}
+	if srv != nil {
+		m := srv.Snapshot()
+		out["strategy"] = srv.StrategyName()
+		out["hits"] = m.Hits
+		out["coalesced"] = m.Coalesced
+		out["misses"] = m.Misses
+		out["hit_rate"] = m.HitRate()
+		out["invalidations"] = m.Invalidations
+		out["scoped_mutations"] = m.ScopedMutations
+		out["scoped_evicted"] = m.ScopedEvicted
+		out["scoped_retained"] = m.ScopedRetained
+		out["evictions"] = m.Evictions
+	}
+	raw, err := json.MarshalIndent(out, "", "  ")
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
+	return os.WriteFile(path, append(raw, '\n'), 0o644)
 }
 
 // maxLineBytes bounds one line-mode input line (bufio.Scanner's 64KB
@@ -726,48 +719,16 @@ func serveLine(line string, out io.Writer, be *daemon.Backend) bool {
 			fmt.Fprintf(out, "conns: %d accepted, %d evicted-slow, %d refused\n",
 				st.Accepted, st.EvictedSlow, st.Refused)
 		}
-	case "fail", "restore":
-		a, b, ok := twoIDs(fields[1:])
-		if !ok {
-			fmt.Fprintf(out, "usage: %s A B\n", fields[0])
+	case "fail", "restore", "policy", "invalidate":
+		// Scoped invalidation for fail/restore/policy; "invalidate" is the
+		// full generation bump that restores optimality after scoped
+		// retentions. Same execution path as the wire Control message.
+		q, err := parseControl(fields)
+		if err != nil {
+			fmt.Fprintln(out, err)
 			return true
 		}
-		var evicted, retained int
-		if fields[0] == "fail" {
-			var flushed int
-			var err error
-			evicted, retained, flushed, err = be.Fail(a, b)
-			if err != nil {
-				fmt.Fprintln(out, err)
-				return true
-			}
-			// Failure-driven repair: flush installed handle state that
-			// crossed the dead link and queue its flows for "repair".
-			if flushed > 0 {
-				fmt.Fprintf(out, "flushed %d handle entries\n", flushed)
-			}
-		} else {
-			var err error
-			evicted, retained, err = be.Restore(a, b)
-			if err != nil {
-				fmt.Fprintln(out, err)
-				return true
-			}
-		}
-		fmt.Fprintf(out, "ok (evicted %d, retained %d)\n", evicted, retained)
-	case "policy":
-		// policy AD COST: replace the AD's terms with one open term.
-		a, c, ok := twoIDs(fields[1:])
-		if !ok {
-			fmt.Fprintln(out, "usage: policy AD COST")
-			return true
-		}
-		evicted, retained := be.SetPolicy(a, uint32(c))
-		fmt.Fprintf(out, "ok (evicted %d, retained %d)\n", evicted, retained)
-	case "invalidate":
-		// Full generation bump: drops every cached route, restoring
-		// optimality after scoped retentions.
-		fmt.Fprintf(out, "ok (gen %d)\n", be.Invalidate())
+		fmt.Fprint(out, renderControlReply(q.Op, be.HandleControl(q)))
 	case "install":
 		// install SRC DST [QOS UCI HOUR]: serve a route and install it as
 		// PG handle state so data can flow over it.
@@ -864,6 +825,48 @@ func serveLine(line string, out io.Writer, be *daemon.Backend) bool {
 	return true
 }
 
+// renderControlReply renders a control reply as line-mode text.
+func renderControlReply(op uint8, rep *wire.ControlReply) string {
+	switch {
+	case !rep.OK():
+		return rep.Err + "\n"
+	case op == wire.CtlInvalidate:
+		return fmt.Sprintf("ok (gen %d)\n", rep.Gen)
+	}
+	var flushed string
+	// Failure-driven repair: a fail flushes installed handle state that
+	// crossed the dead link and queues its flows for "repair".
+	if rep.Flushed > 0 {
+		flushed = fmt.Sprintf("flushed %d handle entries\n", rep.Flushed)
+	}
+	return flushed + fmt.Sprintf("ok (evicted %d, retained %d)\n", rep.Evicted, rep.Retained)
+}
+
+// parseControl parses a control command: "fail A B", "restore A B",
+// "policy AD COST" (replace the AD's terms with one open term), or
+// "invalidate".
+func parseControl(fields []string) (*wire.Control, error) {
+	switch fields[0] {
+	case "invalidate":
+		return &wire.Control{Op: wire.CtlInvalidate}, nil
+	case "policy":
+		a, c, ok := twoIDs(fields[1:])
+		if !ok {
+			return nil, errors.New("usage: policy AD COST")
+		}
+		return &wire.Control{Op: wire.CtlPolicy, A: a, Cost: uint32(c)}, nil
+	}
+	a, b, ok := twoIDs(fields[1:])
+	if !ok {
+		return nil, fmt.Errorf("usage: %s A B", fields[0])
+	}
+	op := wire.CtlFail
+	if fields[0] == "restore" {
+		op = wire.CtlRestore
+	}
+	return &wire.Control{Op: op, A: a, B: b}, nil
+}
+
 // parsePlanSteps parses the "plan" argument: semicolon-separated steps,
 // each "fail A B", "restore A B", or "policy AD COST".
 func parsePlanSteps(spec string) ([]wire.PlanStep, error) {
@@ -878,22 +881,12 @@ func parsePlanSteps(spec string) ([]wire.PlanStep, error) {
 			continue
 		}
 		switch f[0] {
-		case "fail", "restore":
-			a, b, ok := twoIDs(f[1:])
-			if !ok {
+		case "fail", "restore", "policy":
+			c, err := parseControl(f)
+			if err != nil {
 				return nil, usage
 			}
-			op := uint8(wire.CtlFail)
-			if f[0] == "restore" {
-				op = wire.CtlRestore
-			}
-			steps = append(steps, wire.PlanStep{Op: op, A: a, B: b})
-		case "policy":
-			a, c, ok := twoIDs(f[1:])
-			if !ok {
-				return nil, usage
-			}
-			steps = append(steps, wire.PlanStep{Op: wire.CtlPolicy, A: a, Cost: uint32(c)})
+			steps = append(steps, wire.PlanStep{Op: c.Op, A: c.A, B: c.B, Cost: c.Cost})
 		default:
 			return nil, fmt.Errorf("unknown plan step %q: %v", f[0], usage)
 		}

@@ -2,6 +2,8 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
+	"net"
 	"os"
 	"path/filepath"
 	"strings"
@@ -272,7 +274,7 @@ func TestValidateFlags(t *testing.T) {
 	}
 }
 
-func TestChurnEventsPreferLateral(t *testing.T) {
+func TestChurnTimelinePrefersLateral(t *testing.T) {
 	g := ad.NewGraph()
 	a := g.AddAD("a", ad.Transit, ad.Backbone)
 	b := g.AddAD("b", ad.Transit, ad.Regional)
@@ -283,24 +285,25 @@ func TestChurnEventsPreferLateral(t *testing.T) {
 	if err := g.AddLink(ad.Link{A: b, B: c, Class: ad.Lateral}); err != nil {
 		t.Fatal(err)
 	}
-	evs := churnEvents(g)
+	evs := churnEvents(g, nil)
 	if len(evs) != 2 {
 		t.Fatalf("%d events", len(evs))
 	}
 	if !strings.Contains(evs[0].Label, "AD2") || !strings.Contains(evs[0].Label, "AD3") {
 		t.Errorf("churn did not pick the lateral link: %q", evs[0].Label)
 	}
-	if churnEvents(ad.NewGraph()) != nil {
+	if churnEvents(ad.NewGraph(), nil) != nil {
 		t.Error("empty graph produced churn events")
 	}
 }
 
 func TestPrintReportAndWriteJSON(t *testing.T) {
-	g, db, srv, _ := testWorld(t)
-	_ = g
-	_ = db
+	g, db, srv, dp := testWorld(t)
 	workload := []policy.Request{{Src: 1, Dst: 4}, {Src: 1, Dst: 4}, {Src: 4, Dst: 1}}
-	rep := routeserver.Run(srv, workload, routeserver.LoadConfig{Clients: 2})
+	rep := daemon.LoadRun(workload, daemon.LoadConfig{
+		Dial:    daemon.BackendDialer(daemon.NewBackend(srv, dp, g, db)),
+		Clients: 2,
+	})
 	var out strings.Builder
 	printReport(&out, srv, rep)
 	for _, want := range []string{"strategy", "requests    3", "cache", "latency"} {
@@ -312,6 +315,17 @@ func TestPrintReportAndWriteJSON(t *testing.T) {
 	if err := writeJSON(path, srv, rep); err != nil {
 		t.Fatal(err)
 	}
+	m := readJSON(t, path)
+	if m["requests"] != float64(3) {
+		t.Errorf("json requests = %v", m["requests"])
+	}
+	if m["misses"] != float64(2) {
+		t.Errorf("json misses = %v, want the server's 2", m["misses"])
+	}
+}
+
+func readJSON(t *testing.T, path string) map[string]any {
+	t.Helper()
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -320,8 +334,90 @@ func TestPrintReportAndWriteJSON(t *testing.T) {
 	if err := json.Unmarshal(raw, &m); err != nil {
 		t.Fatal(err)
 	}
-	if m["requests"] != float64(3) {
-		t.Errorf("json requests = %v", m["requests"])
+	return m
+}
+
+// reportLabels returns the first word of each report line.
+func reportLabels(out string) []string {
+	var labels []string
+	for _, l := range strings.Split(strings.TrimSpace(out), "\n") {
+		labels = append(labels, strings.Fields(l)[0])
+	}
+	return labels
+}
+
+// TestLoadTargetsShareOneHarness drives one workload with the same -churn
+// fail/restore timeline through routed's load mode twice: in-process, and
+// with -connect against a TCP daemon serving the identical generated
+// world. Both runs must account for every request without errors, apply
+// the timeline on their server, and print the same shared report lines;
+// only the in-process report adds the server's own lines.
+func TestLoadTargetsShareOneHarness(t *testing.T) {
+	const requests = 400
+	g, db, workload, _, err := materialize("", 42, requests, "zipf", 1.4, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := routeserver.New(buildStrategy("on-demand", g, db, workload, 2, 2), routeserver.Config{})
+	dp, err := routeserver.NewDataPlane(pgstate.Config{Kind: pgstate.Hard})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := daemon.New(daemon.NewBackend(srv, dp, g, db), daemon.Config{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go d.Serve(ln)
+	defer d.Drain()
+
+	dir := t.TempDir()
+	load := func(name string, extra ...string) (string, map[string]any) {
+		t.Helper()
+		path := filepath.Join(dir, name+".json")
+		args := append([]string{"-load", "-churn", "-requests", fmt.Sprint(requests),
+			"-clients", "4", "-bench-json", path}, extra...)
+		var stdout, stderr strings.Builder
+		if code := run(args, strings.NewReader(""), &stdout, &stderr); code != 0 {
+			t.Fatalf("%s: exit %d\n%s%s", name, code, stdout.String(), stderr.String())
+		}
+		m := readJSON(t, path)
+		if m["errors"] != float64(0) || m["served"].(float64)+m["no_route"].(float64) != requests {
+			t.Fatalf("%s: accounting broken: %v", name, m)
+		}
+		return stdout.String(), m
+	}
+	localOut, localJSON := load("inproc")
+	wireOut, _ := load("tcp", "-connect", ln.Addr().String())
+
+	if localJSON["scoped_mutations"] != float64(2) {
+		t.Errorf("in-process run applied %v scoped mutations, want the 2 churn events", localJSON["scoped_mutations"])
+	}
+	if m := srv.Snapshot(); m.ScopedMutations != 2 || m.Queries != requests {
+		t.Errorf("daemon saw %d scoped mutations and %d queries, want 2 and %d",
+			m.ScopedMutations, m.Queries, requests)
+	}
+	const shared = "requests elapsed conns stall latency"
+	local, remote := reportLabels(localOut), reportLabels(wireOut)
+	if strings.Join(remote, " ") != shared || len(local) <= len(remote) ||
+		strings.Join(local[:len(remote)], " ") != shared {
+		t.Fatalf("shared report lines differ.\nin-process:\n%s\nwire:\n%s", localOut, wireOut)
+	}
+}
+
+// TestLoadConnectRejectsScenarioEvents pins that a scenario's events are
+// not silently dropped over -connect: they have no wire encoding, so the
+// combination is a usage error.
+func TestLoadConnectRejectsScenarioEvents(t *testing.T) {
+	path := filepath.Join("..", "..", "scenarios", "routeserver_churn.json")
+	var stdout, stderr strings.Builder
+	code := run([]string{"-load", "-scenario", path, "-connect", "127.0.0.1:1"},
+		strings.NewReader(""), &stdout, &stderr)
+	if code != 2 {
+		t.Fatalf("exit %d, want 2\n%s", code, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "-scenario events") {
+		t.Fatalf("no usage error for dropped events:\n%s", stderr.String())
 	}
 }
 

@@ -183,3 +183,47 @@ func TestMutateScopedRetainedExcludesStale(t *testing.T) {
 		t.Fatalf("retained = %d, want only the current-generation entry", retained)
 	}
 }
+
+// countingStrategy counts Route calls.
+type countingStrategy struct {
+	synthesis.Strategy
+	routes atomic.Int64
+}
+
+func (s *countingStrategy) Route(req policy.Request) (ad.Path, bool) {
+	s.routes.Add(1)
+	return s.Strategy.Route(req)
+}
+
+// TestCoalesceLeaderRechecksCache pins the singleflight double-synthesis
+// fix deterministically: a query that missed in lookup can register as
+// leader after an earlier leader has already inserted the key and
+// deregistered. That leader must serve the cached entry, not synthesize
+// the key a second time in the same generation, and the query must count
+// as a hit so Hits + Misses + Coalesced == Queries still holds.
+func TestCoalesceLeaderRechecksCache(t *testing.T) {
+	g := ad.NewGraph()
+	src := g.AddAD("src", ad.Stub, ad.Campus)
+	dst := g.AddAD("dst", ad.Stub, ad.Campus)
+	if err := g.AddLink(ad.Link{A: src, B: dst, Cost: 1}); err != nil {
+		t.Fatal(err)
+	}
+	strat := &countingStrategy{Strategy: synthesis.NewOnDemand(g, policy.OpenDB(g))}
+	srv := New(strat, Config{})
+
+	req := policy.Request{Src: src, Dst: dst}
+	k := KeyOf(req)
+	want := Result{Path: ad.Path{src, dst}, Found: true}
+	srv.InstallEntry(k, want, synthesis.Footprint{})
+
+	res, counter := srv.coalesce(sfKey{epoch: srv.epoch.Load(), key: k}, req)
+	if n := strat.routes.Load(); n != 0 {
+		t.Fatalf("leader re-synthesized a cached key: %d Route calls", n)
+	}
+	if !res.Found || !res.Path.Equal(want.Path) {
+		t.Fatalf("leader served %+v, want the cached %+v", res, want)
+	}
+	if counter != &srv.met.hits {
+		t.Fatal("a re-check hit was not accounted as a hit")
+	}
+}

@@ -197,6 +197,41 @@ func (b *Backend) Invalidate() uint64 {
 	return b.srv.Generation()
 }
 
+// HandleControl executes one wire.Control — fail, restore, policy or a
+// full invalidation — against the backend and builds the reply. It is the
+// single control execution path shared by the daemon protocol, HA
+// followers replaying the primary's stream, cmd/routed's line mode and the
+// in-process load target's churn, so every front end mutates identically
+// (the session-parity test pins this).
+func (b *Backend) HandleControl(q *wire.Control) *wire.ControlReply {
+	rep := &wire.ControlReply{ID: q.ID}
+	switch q.Op {
+	case wire.CtlFail:
+		evicted, retained, flushed, err := b.Fail(q.A, q.B)
+		if err != nil {
+			rep.Code, rep.Err = wire.CtlErr, err.Error()
+			break
+		}
+		rep.Evicted, rep.Retained, rep.Flushed =
+			uint64(evicted), uint64(retained), uint64(flushed)
+	case wire.CtlRestore:
+		evicted, retained, err := b.Restore(q.A, q.B)
+		if err != nil {
+			rep.Code, rep.Err = wire.CtlErr, err.Error()
+			break
+		}
+		rep.Evicted, rep.Retained = uint64(evicted), uint64(retained)
+	case wire.CtlPolicy:
+		evicted, retained := b.SetPolicy(q.A, q.Cost)
+		rep.Evicted, rep.Retained = uint64(evicted), uint64(retained)
+	case wire.CtlInvalidate:
+		rep.Gen = b.Invalidate()
+	default:
+		rep.Code, rep.Err = wire.CtlErr, "unknown control op"
+	}
+	return rep
+}
+
 // maxPendingPlans bounds the uncommitted-plan store: plans are cheap to
 // recompute, so an operator juggling more than this many proposals just
 // re-plans the displaced one.

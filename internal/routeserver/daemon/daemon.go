@@ -371,32 +371,7 @@ func (d *Daemon) dispatch(m wire.Message) (reply wire.Message, drain bool) {
 		return &wire.QueryReply{ID: q.ID, Found: res.Found, Path: res.Path}, false
 
 	case *wire.Control:
-		rep := &wire.ControlReply{ID: q.ID}
-		switch q.Op {
-		case wire.CtlFail:
-			evicted, retained, flushed, err := d.be.Fail(q.A, q.B)
-			if err != nil {
-				rep.Code, rep.Err = wire.CtlErr, err.Error()
-				break
-			}
-			rep.Evicted, rep.Retained, rep.Flushed =
-				uint64(evicted), uint64(retained), uint64(flushed)
-		case wire.CtlRestore:
-			evicted, retained, err := d.be.Restore(q.A, q.B)
-			if err != nil {
-				rep.Code, rep.Err = wire.CtlErr, err.Error()
-				break
-			}
-			rep.Evicted, rep.Retained = uint64(evicted), uint64(retained)
-		case wire.CtlPolicy:
-			evicted, retained := d.be.SetPolicy(q.A, q.Cost)
-			rep.Evicted, rep.Retained = uint64(evicted), uint64(retained)
-		case wire.CtlInvalidate:
-			rep.Gen = d.be.Invalidate()
-		default:
-			rep.Code, rep.Err = wire.CtlErr, "unknown control op"
-		}
-		return rep, false
+		return d.be.HandleControl(q), false
 
 	case *wire.DataOp:
 		rep := &wire.DataOpReply{ID: q.ID, Op: q.Op}

@@ -1,8 +1,10 @@
 package daemon
 
 import (
+	"errors"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,6 +16,8 @@ import (
 	"repro/internal/routeserver"
 	"repro/internal/sim"
 	"repro/internal/synthesis"
+	"repro/internal/topology"
+	"repro/internal/trafficgen"
 	"repro/internal/wire"
 )
 
@@ -438,16 +442,29 @@ func TestLoadRunAgainstDaemon(t *testing.T) {
 	for i := range workload {
 		workload[i] = policy.Request{Src: 1, Dst: 4, Hour: uint8(i % 4)}
 	}
-	rep := LoadRun("tcp", ln.Addr().String(), workload, LoadConfig{
+	addrs := []string{ln.Addr().String()}
+	ctl := DialFailover("tcp", addrs, DefaultTimeout, 1)
+	defer ctl.Close()
+	control := func(op uint8) func() error {
+		return func() error {
+			rep, err := ctl.Control(op, 2, 4, 0)
+			if err == nil && !rep.OK() {
+				err = errors.New(rep.Err)
+			}
+			return err
+		}
+	}
+	rep := LoadRun(workload, LoadConfig{
+		Dial:           FailoverDialer("tcp", addrs),
 		Clients:        8,
 		ReconnectEvery: 10,
-		Events: []ChurnEvent{
-			{After: 0.3, Op: wire.CtlFail, A: 2, B: 4},
-			{After: 0.6, Op: wire.CtlRestore, A: 2, B: 4},
+		Events: []LoadEvent{
+			{After: 0.3, Label: "fail", Fire: control(wire.CtlFail)},
+			{After: 0.6, Label: "restore", Fire: control(wire.CtlRestore)},
 		},
 	})
-	if rep.Errors != 0 {
-		t.Fatalf("load run hit %d errors: %+v", rep.Errors, rep)
+	if rep.Errors != 0 || rep.EventErr != nil {
+		t.Fatalf("load run hit %d errors, event error %v: %+v", rep.Errors, rep.EventErr, rep)
 	}
 	if rep.Served != rep.Requests {
 		t.Fatalf("served %d of %d", rep.Served, rep.Requests)
@@ -460,6 +477,88 @@ func TestLoadRunAgainstDaemon(t *testing.T) {
 	}
 	if m := d.Metrics(); m.Accepted < 8 || m.Requests < uint64(len(workload)) {
 		t.Fatalf("daemon metrics = %+v", m)
+	}
+	if st := be.Stats(); st.Queries != uint64(len(workload)) {
+		t.Fatalf("daemon answered %d queries, want %d", st.Queries, len(workload))
+	}
+}
+
+// TestLoadRunInProcessWithChurn drives the in-process target: the same
+// harness with clients calling the backend directly, and events mutating
+// the server mid-run.
+func TestLoadRunInProcessWithChurn(t *testing.T) {
+	topo := topology.Generate(topology.Config{
+		Seed: 5, Backbones: 2, RegionalsPerBackbone: 3,
+		CampusesPerParent: 3, LateralProb: 0.25, BypassProb: 0.1,
+	})
+	g := topo.Graph
+	db := policy.Generate(g, policy.GenConfig{
+		Seed: 6, SourceRestrictionProb: 0.4, SourceFraction: 0.5,
+	})
+	workload := trafficgen.Generate(g, trafficgen.Config{
+		Seed: 7, Requests: 500, StubsOnly: true,
+		Model: "zipf", ZipfS: 1.4, QOSClasses: 2, UCIClasses: 2,
+	})
+	links := g.Links()
+	lateral := links[len(links)-1]
+	srv := routeserver.New(synthesis.NewOnDemand(g, db), routeserver.Config{})
+	be := NewBackend(srv, nil, g, db)
+	// Zero-value Changes: full invalidations, one per event.
+	mutate := func(fn func()) func() error {
+		return func() error { srv.MutateScoped(synthesis.Change{}, fn); return nil }
+	}
+	rep := LoadRun(workload, LoadConfig{
+		Dial:    BackendDialer(be),
+		Clients: 4,
+		Events: []LoadEvent{
+			{After: 0.3, Label: "fail", Fire: mutate(func() { g.RemoveLink(lateral.A, lateral.B) })},
+			{After: 0.6, Label: "restore", Fire: mutate(func() { _ = g.AddLink(lateral) })},
+		},
+	})
+	if rep.Requests != len(workload) || rep.Served+rep.NoRoute != rep.Requests || rep.Errors != 0 {
+		t.Fatalf("report accounting broken: %+v", rep)
+	}
+	if rep.EventErr != nil {
+		t.Fatal(rep.EventErr)
+	}
+	if m := srv.Snapshot(); m.Invalidations != 2 {
+		t.Fatalf("Invalidations = %d, want 2", m.Invalidations)
+	}
+	if rep.Elapsed <= 0 || rep.QPS <= 0 {
+		t.Fatalf("no timing recorded: %+v", rep)
+	}
+	if rep.Latency.P99 < rep.Latency.P50 {
+		t.Fatalf("latency digest out of order: %+v", rep.Latency)
+	}
+}
+
+// TestLoadRunEventErrorStopsTimeline pins that a failing event is
+// reported, not swallowed, and that later events do not fire.
+func TestLoadRunEventErrorStopsTimeline(t *testing.T) {
+	be := testWorld(t, nil)
+	workload := make([]policy.Request, 100)
+	for i := range workload {
+		workload[i] = policy.Request{Src: 1, Dst: 4}
+	}
+	fired := false
+	rep := LoadRun(workload, LoadConfig{
+		Dial: BackendDialer(be),
+		Events: []LoadEvent{
+			{After: 0.2, Label: "restore", Fire: func() error {
+				rep := be.HandleControl(&wire.Control{Op: wire.CtlRestore, A: 2, B: 4})
+				return errors.New(rep.Err)
+			}},
+			{After: 0.5, Label: "later", Fire: func() error { fired = true; return nil }},
+		},
+	})
+	if rep.EventErr == nil || !strings.Contains(rep.EventErr.Error(), "was not failed here") {
+		t.Fatalf("event error = %v", rep.EventErr)
+	}
+	if fired {
+		t.Fatal("the timeline kept firing after a failed event")
+	}
+	if rep.Served != rep.Requests {
+		t.Fatalf("served %d of %d", rep.Served, rep.Requests)
 	}
 }
 

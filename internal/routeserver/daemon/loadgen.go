@@ -1,48 +1,86 @@
 package daemon
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/ad"
 	"repro/internal/metrics"
 	"repro/internal/policy"
+	"repro/internal/routeserver"
 )
 
-// LoadConfig parameterizes a network load run.
-type LoadConfig struct {
-	// Clients is the number of concurrent connections, each driven by its
-	// own goroutine (default 4).
-	Clients int
-	// ReconnectEvery injects connection churn: each client tears its
-	// connection down and redials after this many requests (0 = never).
-	ReconnectEvery int
-	// Events is the control-plane churn timeline, sent from a dedicated
-	// connection as each event's workload fraction is reached.
-	Events []ChurnEvent
-	// Addrs is the HA replica set's client addresses. When set, every
-	// client is a failover client over these addresses (the addr argument
-	// to LoadRun is ignored): NotPrimary redirects are followed and dead
-	// replicas rotated past. Empty = single-server mode against addr.
-	Addrs []string
-	// Timeout bounds each request round trip (failover mode only); it is
-	// the client-side heartbeat that detects a silently dead primary.
-	// Default 2s.
-	Timeout time.Duration
-	// Seed derandomizes the reconnect-backoff jitter (default 1; each
-	// client derives its own stream from it).
-	Seed int64
+// QueryConn is one load client's connection to the serving target.
+type QueryConn interface {
+	Query(policy.Request) (routeserver.Result, error)
+	// Close drops the connection; the next Query redials. The harness's
+	// connection churn (ReconnectEvery) relies on this.
+	Close() error
 }
 
-// ChurnEvent is one control-plane mutation in a load run's timeline.
-type ChurnEvent struct {
+// Dialer opens one load client's connection. seed derandomizes the
+// client's reconnect-backoff jitter and timeout bounds each round trip;
+// the in-process target ignores both.
+type Dialer func(seed int64, timeout time.Duration) QueryConn
+
+// BackendDialer is the in-process load target: clients call the backend
+// directly, with no framing, session or socket in between.
+func BackendDialer(be *Backend) Dialer {
+	return func(int64, time.Duration) QueryConn { return backendConn{be} }
+}
+
+// FailoverDialer is the wire load target: every client is a failover
+// client over addrs — one daemon address, or an HA replica set whose
+// NotPrimary redirects are followed and dead replicas rotated past.
+func FailoverDialer(network string, addrs []string) Dialer {
+	return func(seed int64, timeout time.Duration) QueryConn {
+		return DialFailover(network, addrs, timeout, seed)
+	}
+}
+
+// backendConn adapts a Backend to QueryConn.
+type backendConn struct{ be *Backend }
+
+func (c backendConn) Query(req policy.Request) (routeserver.Result, error) {
+	return c.be.Query(req), nil
+}
+
+func (backendConn) Close() error { return nil }
+
+// DefaultTimeout is the load clients' round-trip bound when
+// LoadConfig.Timeout is unset.
+const DefaultTimeout = 2 * time.Second
+
+// LoadEvent is one churn injection in a load run's timeline.
+type LoadEvent struct {
 	// After is the workload fraction (0..1) at which the event fires.
 	After float64
-	// Op, A, B, Cost form the wire.Control request.
-	Op   uint8
-	A, B ad.ID
-	Cost uint32
+	// Label names the event in reports.
+	Label string
+	// Fire applies the mutation; an error stops the timeline.
+	Fire func() error
+}
+
+// LoadConfig parameterizes a load run.
+type LoadConfig struct {
+	// Dial opens each client's connection and picks the target.
+	Dial Dialer
+	// Clients is the number of concurrent clients, each driven by its own
+	// goroutine over its own connection (default 4).
+	Clients int
+	// ReconnectEvery injects connection churn: each client closes its
+	// connection after this many requests and redials (0 = never).
+	ReconnectEvery int
+	// Events is the churn timeline, fired in order from a side goroutine
+	// as the answered-request count crosses each event's fraction.
+	Events []LoadEvent
+	// Seed derandomizes the reconnect-backoff jitter (default 1; client i
+	// dials with Seed+i).
+	Seed int64
+	// Timeout bounds each request round trip (default DefaultTimeout); it
+	// is the client-side heartbeat that detects a silently dead primary.
+	Timeout time.Duration
 }
 
 func (c LoadConfig) normalize() LoadConfig {
@@ -50,7 +88,7 @@ func (c LoadConfig) normalize() LoadConfig {
 		c.Clients = 4
 	}
 	if c.Timeout <= 0 {
-		c.Timeout = 2 * time.Second
+		c.Timeout = DefaultTimeout
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -58,11 +96,10 @@ func (c LoadConfig) normalize() LoadConfig {
 	return c
 }
 
-// LoadReport summarizes a network load run.
+// LoadReport summarizes a load run.
 type LoadReport struct {
 	// Requests is the workload length; Served of them found a route,
-	// NoRoute did not, and Errors hit connection failures that survived
-	// every retry.
+	// NoRoute did not, and Errors failed after every retry.
 	Requests, Served, NoRoute, Errors int
 	// Reconnects counts voluntary connection-churn redials plus failover
 	// rotations off a dead replica.
@@ -80,8 +117,11 @@ type LoadReport struct {
 	// Requests/Elapsed.
 	Elapsed time.Duration
 	QPS     float64
-	// Latency digests per-request round-trip latency (P50/P95/P99).
+	// Latency digests client-measured per-request latency (P50/P95/P99).
 	Latency metrics.LatencySummary
+	// EventErr is the first timeline event failure; later events did not
+	// fire.
+	EventErr error
 }
 
 // stallTracker records the longest gap between consecutive successful
@@ -91,8 +131,6 @@ type stallTracker struct {
 	last   time.Time
 	maxGap time.Duration
 }
-
-func (st *stallTracker) start(t time.Time) { st.last = t }
 
 func (st *stallTracker) success(t time.Time) {
 	st.mu.Lock()
@@ -105,28 +143,20 @@ func (st *stallTracker) success(t time.Time) {
 	st.mu.Unlock()
 }
 
-// LoadRun replays the workload against a live daemon (or, with
-// cfg.Addrs, an HA replica group) from cfg.Clients concurrent
-// connections — client i takes requests i, i+C, i+2C, … — with optional
-// connection churn and control-plane events, and blocks until every
-// request is answered or exhausts its retries. Unlike routeserver.Run
-// this exercises the full network path: framing, session queues,
-// backpressure, and (in failover mode) redirect-following and
-// reconnect-with-backoff against dead or refusing replicas.
-func LoadRun(network, addr string, workload []policy.Request, cfg LoadConfig) LoadReport {
+// LoadRun replays the workload against cfg.Dial's target from cfg.Clients
+// concurrent clients — client i takes requests i, i+C, i+2C, … — with
+// optional connection churn and a churn-event timeline, and blocks until
+// every request is answered or exhausts its retries. The target is the
+// only thing that differs between the in-process and wire runs, so the
+// gap between their reports is the cost of the layers in between. For
+// deterministic phase-by-phase serving use routeserver.ServePhase.
+func LoadRun(workload []policy.Request, cfg LoadConfig) LoadReport {
 	cfg = cfg.normalize()
 	rep := LoadReport{Requests: len(workload)}
 	if len(workload) == 0 {
 		return rep
 	}
-	addrs := cfg.Addrs
-	if len(addrs) == 0 {
-		addrs = []string{addr}
-	}
-	n := cfg.Clients
-	if n > len(workload) {
-		n = len(workload)
-	}
+	n := min(cfg.Clients, len(workload))
 
 	var (
 		progress   atomic.Uint64 // requests answered so far
@@ -137,21 +167,12 @@ func LoadRun(network, addr string, workload []policy.Request, cfg LoadConfig) Lo
 		dialFails  atomic.Uint64
 		redirects  atomic.Uint64
 		hist       metrics.Histogram
-		stalls     stallTracker
 	)
 
-	// Churn driver: a dedicated control connection fires events in order
-	// as the answered-request count crosses their fractions. It fails over
-	// like the workload clients so the timeline survives a primary kill.
 	stop := make(chan struct{})
 	churnDone := make(chan struct{})
 	go func() {
 		defer close(churnDone)
-		if len(cfg.Events) == 0 {
-			return
-		}
-		ctl := DialFailover(network, addrs, cfg.Timeout, cfg.Seed)
-		defer ctl.Close()
 		for _, ev := range cfg.Events {
 			threshold := uint64(ev.After * float64(len(workload)))
 			for progress.Load() < threshold {
@@ -159,24 +180,25 @@ func LoadRun(network, addr string, workload []policy.Request, cfg LoadConfig) Lo
 				case <-stop:
 					return
 				default:
-					time.Sleep(100 * time.Microsecond)
+					time.Sleep(50 * time.Microsecond)
 				}
 			}
-			if _, err := ctl.Control(ev.Op, ev.A, ev.B, ev.Cost); err != nil {
+			if err := ev.Fire(); err != nil {
+				rep.EventErr = fmt.Errorf("event %q: %w", ev.Label, err)
 				return
 			}
 		}
 	}()
 
 	start := time.Now()
-	stalls.start(start)
+	stalls := stallTracker{last: start}
 	var wg sync.WaitGroup
 	for c := 0; c < n; c++ {
 		c := c
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			cl := DialFailover(network, addrs, cfg.Timeout, cfg.Seed+int64(c))
+			cl := cfg.Dial(cfg.Seed+int64(c), cfg.Timeout)
 			defer cl.Close()
 			sent := 0
 			for i := c; i < len(workload); i += n {
@@ -186,24 +208,27 @@ func LoadRun(network, addr string, workload []policy.Request, cfg LoadConfig) Lo
 				}
 				t0 := time.Now()
 				res, err := cl.Query(workload[i])
-				hist.Observe(time.Since(t0))
+				t1 := time.Now()
+				hist.Observe(t1.Sub(t0))
 				switch {
 				case err != nil:
 					errCount.Add(1)
 				case res.Found:
 					served.Add(1)
-					stalls.success(time.Now())
+					stalls.success(t1)
 				default:
 					noRoute.Add(1)
-					stalls.success(time.Now())
+					stalls.success(t1)
 				}
 				progress.Add(1)
 				sent++
 			}
-			fs := cl.RecoveryStats()
-			reconnects.Add(fs.Reconnects)
-			dialFails.Add(fs.Failures)
-			redirects.Add(fs.Redirects)
+			if fo, ok := cl.(*Failover); ok {
+				fs := fo.RecoveryStats()
+				reconnects.Add(fs.Reconnects)
+				dialFails.Add(fs.Failures)
+				redirects.Add(fs.Redirects)
+			}
 		}()
 	}
 	wg.Wait()

@@ -279,14 +279,5 @@ func (n *Node) applyEntry(e *wire.SyncEntry, inSnapshot bool) bool {
 // overlaps ops applied before a reconnect, and the scoped invalidation
 // still ran.
 func (n *Node) applyCtl(e *wire.SyncEntry) {
-	switch e.CtlOp {
-	case wire.CtlFail:
-		_, _, _, _ = n.be.Fail(e.A, e.B)
-	case wire.CtlRestore:
-		_, _, _ = n.be.Restore(e.A, e.B)
-	case wire.CtlPolicy:
-		n.be.SetPolicy(e.A, e.Cost)
-	case wire.CtlInvalidate:
-		n.be.Invalidate()
-	}
+	n.be.HandleControl(&wire.Control{Op: e.CtlOp, A: e.A, B: e.B, Cost: e.Cost})
 }

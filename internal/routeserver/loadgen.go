@@ -1,138 +1,25 @@
 package routeserver
 
-import (
-	"time"
+import "repro/internal/policy"
 
-	"repro/internal/policy"
-	"repro/internal/synthesis"
-)
-
-// Event is one churn injection during a load run: after roughly the given
-// fraction of the workload has been served, Apply runs under
-// Server.MutateScoped (exclusive access, then invalidation scoped to
-// Change).
-type Event struct {
-	// After is the workload fraction (0..1) at which the event fires.
-	After float64
-	// Label names the event in reports.
-	Label string
-	// Apply mutates the topology or policy database the server's
-	// strategy synthesizes over.
-	Apply func()
-	// Change scopes the invalidation to what Apply actually touched. The
-	// zero value is a full (unscoped) invalidation, so existing timelines
-	// keep their whole-cache-bump semantics.
-	Change synthesis.Change
-}
-
-// LoadConfig parameterizes a load run.
-type LoadConfig struct {
-	// Clients is the number of concurrent client goroutines (default 4).
-	Clients int
-	// Events is the churn timeline, injected while clients are querying.
-	Events []Event
-}
-
-func (c LoadConfig) normalize() LoadConfig {
-	if c.Clients <= 0 {
-		c.Clients = 4
-	}
-	return c
-}
-
-// Report summarizes a load run.
-type Report struct {
-	// Elapsed is wall-clock duration of the serving phase.
-	Elapsed time.Duration
-	// QPS is Requests / Elapsed.
-	QPS float64
-	// Requests is the workload length; Served of them found a route.
-	Requests, Served, NoRoute int
-	// Metrics is the server's counter/latency snapshot after the run.
-	Metrics MetricsSnapshot
-	// Strategy is the wrapped strategy's instrumentation after the run.
-	Strategy synthesis.StrategyStats
-}
-
-// Run replays the workload against the server from cfg.Clients concurrent
-// goroutines — client i takes requests i, i+C, i+2C, … — injecting
-// cfg.Events at their workload fractions, and blocks until every request is
-// answered. Results are wall-clock timed; for deterministic phase-by-phase
-// serving use ServePhase and call Server.Mutate at the barriers yourself.
-func Run(srv *Server, workload []policy.Request, cfg LoadConfig) Report {
-	cfg = cfg.normalize()
-	rep := Report{Requests: len(workload)}
-	if len(workload) == 0 {
-		return rep
-	}
-
-	// Churn driver: watch served-query progress, fire events in order.
-	stop := make(chan struct{})
-	churnDone := make(chan struct{})
-	base := srv.Snapshot().Queries
-	go func() {
-		defer close(churnDone)
-		for _, ev := range cfg.Events {
-			threshold := base + uint64(ev.After*float64(len(workload)))
-			for srv.Snapshot().Queries < threshold {
-				select {
-				case <-stop:
-					return
-				default:
-					time.Sleep(50 * time.Microsecond)
-				}
-			}
-			srv.MutateScoped(ev.Change, ev.Apply)
-		}
-	}()
-
-	results := make([]Result, len(workload))
-	start := time.Now()
-	serveStriped(srv, workload, results, cfg.Clients)
-	rep.Elapsed = time.Since(start)
-
-	close(stop)
-	<-churnDone
-
-	for _, r := range results {
-		if r.Found {
-			rep.Served++
-		} else {
-			rep.NoRoute++
-		}
-	}
-	if rep.Elapsed > 0 {
-		rep.QPS = float64(rep.Requests) / rep.Elapsed.Seconds()
-	}
-	rep.Metrics = srv.Snapshot()
-	rep.Strategy = srv.StrategyStats()
-	return rep
-}
-
-// ServePhase serves every request across clients concurrent goroutines and
-// returns the per-request results in workload order. Because results are
-// written to the slot of their request, the returned slice is independent
-// of scheduling; experiments rely on this for byte-identical tables at any
-// parallelism.
+// ServePhase serves every request across clients concurrent goroutines —
+// client i takes requests i, i+C, i+2C, … — and returns the per-request
+// results in workload order. Because results are written to the slot of
+// their request, the returned slice is independent of scheduling;
+// experiments rely on this for byte-identical tables at any parallelism.
+// Churn goes between phases (Server.Mutate/MutateScoped at the barriers);
+// for wall-clock load runs with mid-run churn use daemon.LoadRun.
 func ServePhase(srv *Server, workload []policy.Request, clients int) []Result {
 	if clients <= 0 {
 		clients = 4
 	}
 	results := make([]Result, len(workload))
-	serveStriped(srv, workload, results, clients)
-	return results
-}
-
-// serveStriped fans the workload across n client goroutines by stride.
-func serveStriped(srv *Server, workload []policy.Request, results []Result, n int) {
-	if n > len(workload) {
-		n = len(workload)
-	}
+	n := min(clients, len(workload))
 	if n <= 1 {
 		for i, req := range workload {
 			results[i] = srv.Query(req)
 		}
-		return
+		return results
 	}
 	done := make(chan struct{})
 	for c := 0; c < n; c++ {
@@ -147,4 +34,5 @@ func serveStriped(srv *Server, workload []policy.Request, results []Result, n in
 	for c := 0; c < n; c++ {
 		<-done
 	}
+	return results
 }

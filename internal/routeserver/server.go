@@ -561,12 +561,8 @@ func (s *Server) Query(req policy.Request) Result {
 		return res
 	}
 
-	res, leader := s.coalesce(sfKey{epoch: s.epoch.Load(), key: k}, req)
-	if leader {
-		s.met.misses.Add(1)
-	} else {
-		s.met.coalesced.Add(1)
-	}
+	res, counter := s.coalesce(sfKey{epoch: s.epoch.Load(), key: k}, req)
+	counter.Add(1)
 	if !res.Found {
 		s.met.failures.Add(1)
 	}
@@ -574,19 +570,23 @@ func (s *Server) Query(req policy.Request) Result {
 }
 
 // coalesce runs the synthesis for key at most once among concurrent
-// callers; every caller gets the same result. Reports whether this caller
-// was the leader (ran the computation).
+// callers; every caller gets the same result. It returns the counter the
+// query is accounted under: coalesced for a waiter, misses for the leader
+// that ran the computation, and hits for a leader that found the key
+// cached after all — an earlier leader can insert and deregister between
+// this query's lookup and its registration, and re-synthesizing would
+// break "at most one synthesis per key per generation".
 //
 // Panic safety: if the computation panics, the leader re-panics after
 // deregistering the call and releasing every coalesced waiter — waiters
 // observe the zero Result ("no legal route") rather than blocking forever
 // on a wg.Done that would never come, and the sfCalls entry never leaks.
-func (s *Server) coalesce(key sfKey, req policy.Request) (Result, bool) {
+func (s *Server) coalesce(key sfKey, req policy.Request) (Result, *atomic.Uint64) {
 	s.sfMu.Lock()
 	if c, ok := s.sfCalls[key]; ok {
 		s.sfMu.Unlock()
 		c.wg.Wait()
-		return c.res, false
+		return c.res, &s.met.coalesced
 	}
 	c := &call{}
 	c.wg.Add(1)
@@ -599,8 +599,12 @@ func (s *Server) coalesce(key sfKey, req policy.Request) (Result, bool) {
 		s.sfMu.Unlock()
 		c.wg.Done()
 	}()
+	if res, ok := s.lookup(key.key, s.gen.Load()); ok {
+		c.res = res
+		return res, &s.met.hits
+	}
 	c.res = s.compute(req)
-	return c.res, true
+	return c.res, &s.met.misses
 }
 
 // compute runs one synthesis on the strategy's read plane, then caches the

@@ -275,36 +275,6 @@ func TestServerCapacityEviction(t *testing.T) {
 	}
 }
 
-func TestLoadGenRunWithChurn(t *testing.T) {
-	g, db, workload := testbed(5, 500)
-	links := g.Links()
-	lateral := links[len(links)-1]
-	srv := New(synthesis.NewOnDemand(g, db), Config{})
-	rep := Run(srv, workload, LoadConfig{
-		Clients: 4,
-		Events: []Event{
-			{After: 0.3, Label: "fail", Apply: func() { g.RemoveLink(lateral.A, lateral.B) }},
-			{After: 0.6, Label: "restore", Apply: func() {
-				if err := g.AddLink(lateral); err != nil {
-					panic(err)
-				}
-			}},
-		},
-	})
-	if rep.Requests != len(workload) || rep.Served+rep.NoRoute != rep.Requests {
-		t.Fatalf("report accounting broken: %+v", rep)
-	}
-	if rep.Metrics.Invalidations != 2 {
-		t.Fatalf("Invalidations = %d, want 2", rep.Metrics.Invalidations)
-	}
-	if rep.Elapsed <= 0 || rep.QPS <= 0 {
-		t.Fatalf("no timing recorded: %+v", rep)
-	}
-	if rep.Metrics.Latency.P99 < rep.Metrics.Latency.P50 {
-		t.Fatalf("latency digest out of order: %+v", rep.Metrics.Latency)
-	}
-}
-
 func TestConfigNormalize(t *testing.T) {
 	c := Config{Shards: 5}.normalize()
 	if c.Shards != 8 {
