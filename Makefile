@@ -15,8 +15,12 @@ test:
 # race-clean), and the multi-core determinism gate.
 check: vet fmt race determinism
 
+# perfbench is a separate module that `go build ./...` skips, yet it drives
+# the daemon backend's exported API; vetting it here (offline, through its
+# replace directive) makes an API change that breaks it fail the gate.
 vet:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 
 fmt:
 	@out=$$(gofmt -l .); \

@@ -1066,7 +1066,7 @@ func BenchmarkPlan(b *testing.B) {
 			b.Run(fmt.Sprintf("cache=%d/radius=%d", cacheSize, radius), func(b *testing.B) {
 				g, db, srv := planBenchWorld(b, cacheSize, radius)
 				hubA, hubB := ad.ID(1), ad.ID(2)
-				steps := []plan.Step{{Kind: plan.StepFail, A: hubA, B: hubB}}
+				steps := []wire.PlanStep{{Op: wire.CtlFail, A: hubA, B: hubB}}
 				removed := map[[2]ad.ID]ad.Link{}
 				b.ResetTimer()
 				start := time.Now()

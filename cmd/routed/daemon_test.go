@@ -188,3 +188,47 @@ func TestServeLongLines(t *testing.T) {
 		t.Fatalf("read error not reported to the session:\n%s", sb.String())
 	}
 }
+
+// TestUnknownADPolicyRefused pins that a policy step naming an AD the
+// graph does not have is refused on every front end — line mode, a wire
+// Control, a plan step over the wire and in line mode, and the in-process
+// SetPolicy — without moving the mutation epoch or replicating anything.
+func TestUnknownADPolicyRefused(t *testing.T) {
+	g, db, srv, dp := testWorld(t)
+	be := daemon.NewBackend(srv, dp, g, db)
+	replicated := 0
+	be.SetReplicator(func(uint8, ad.ID, ad.ID, uint32) { replicated++ })
+	d := daemon.New(be, daemon.Config{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go d.Serve(ln)
+	defer d.Drain()
+	cl, err := daemon.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	epoch := srv.Epoch()
+
+	var out strings.Builder
+	serveLine("policy 9999 5", &out, be)
+	serveLine("plan policy 9999 3", &out, be)
+	if got, want := out.String(), "unknown AD AD9999\nerror: step 1: unknown AD AD9999\n"; got != want {
+		t.Errorf("line mode = %q, want %q", got, want)
+	}
+	if cr, err := cl.Control(wire.CtlPolicy, 9999, 0, 5); err != nil || cr.OK() || cr.Err != "unknown AD AD9999" {
+		t.Errorf("wire control = %+v, %v", cr, err)
+	}
+	if pr, err := cl.Plan([]wire.PlanStep{{Op: wire.CtlPolicy, A: 9999, Cost: 3}}); err != nil || pr.OK() ||
+		!strings.Contains(pr.Err, "unknown AD AD9999") {
+		t.Errorf("wire plan = %+v, %v", pr, err)
+	}
+	if evicted, retained := be.SetPolicy(9999, 5); evicted != 0 || retained != 0 {
+		t.Errorf("SetPolicy = (%d, %d), want a refusal", evicted, retained)
+	}
+	if now := srv.Epoch(); now != epoch || replicated != 0 {
+		t.Errorf("epoch %d -> %d, %d ops replicated; want no change", epoch, now, replicated)
+	}
+}

@@ -81,7 +81,6 @@ import (
 	"runtime/pprof"
 
 	"repro/internal/ad"
-	"repro/internal/core"
 	"repro/internal/pgstate"
 	"repro/internal/policy"
 	"repro/internal/routeserver"
@@ -172,7 +171,18 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	srv := routeserver.New(buildStrategy(*strategy, g, db, workload, *qosClasses, *uciClasses), routeserver.Config{
+	// The hybrid strategy precomputes the workload's first tenth.
+	hot := workload
+	if n := len(workload) / 10; n > 0 {
+		hot = workload[:n]
+	}
+	strat, err := synthesis.NewStrategy(*strategy, g, db, hot, *qosClasses, *uciClasses)
+	if err != nil {
+		fmt.Fprintf(stderr, "routed: %v\n", err)
+		fs.Usage()
+		return 2
+	}
+	srv := routeserver.New(strat, routeserver.Config{
 		Shards:   *shards,
 		Capacity: *cacheCap,
 		Workers:  *workers,
@@ -529,43 +539,6 @@ func scenarioEvents(srv *routeserver.Server, muts []scenario.Mutation) []daemon.
 		}
 	}
 	return events
-}
-
-// buildStrategy constructs the named synthesis strategy sized to the
-// workload's class spread.
-func buildStrategy(kind string, g *ad.Graph, db *policy.DB, workload []policy.Request, qos, uci int) synthesis.Strategy {
-	switch kind {
-	case "precomputed":
-		var all []policy.Request
-		for q := 0; q < max(qos, 1); q++ {
-			for u := 0; u < max(uci, 1); u++ {
-				all = append(all, core.AllPairsRequests(g, true, policy.QOS(q), policy.UCI(u))...)
-			}
-		}
-		return synthesis.NewPrecomputed(g, db, all)
-	case "hybrid":
-		hot := len(workload) / 10
-		if hot == 0 {
-			hot = len(workload)
-		}
-		return synthesis.NewHybrid(g, db, workload[:hot])
-	case "pruned":
-		var stubs []ad.ID
-		for _, info := range g.ADs() {
-			if info.Class == ad.Stub || info.Class == ad.MultihomedStub {
-				stubs = append(stubs, info.ID)
-			}
-		}
-		return synthesis.NewPrunedConfig(g, db, stubs, synthesis.PrunedConfig{
-			HopRadius: 2, QOSClasses: qos, UCIClasses: uci,
-		})
-	case "on-demand":
-		return synthesis.NewOnDemand(g, db)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown strategy %q; choose on-demand, precomputed, hybrid, or pruned\n", kind)
-		os.Exit(2)
-		return nil
-	}
 }
 
 // controlFunc issues one control op against the load target: the

@@ -354,11 +354,11 @@ func reportLabels(out string) []string {
 // only the in-process report adds the server's own lines.
 func TestLoadTargetsShareOneHarness(t *testing.T) {
 	const requests = 400
-	g, db, workload, _, err := materialize("", 42, requests, "zipf", 1.4, 2, 2)
+	g, db, _, _, err := materialize("", 42, requests, "zipf", 1.4, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := routeserver.New(buildStrategy("on-demand", g, db, workload, 2, 2), routeserver.Config{})
+	srv := routeserver.New(synthesis.NewOnDemand(g, db), routeserver.Config{})
 	dp, err := routeserver.NewDataPlane(pgstate.Config{Kind: pgstate.Hard})
 	if err != nil {
 		t.Fatal(err)
@@ -421,16 +421,14 @@ func TestLoadConnectRejectsScenarioEvents(t *testing.T) {
 	}
 }
 
-func TestBuildStrategyKinds(t *testing.T) {
-	g, db, _, _ := testWorld(t)
-	workload := []policy.Request{{Src: 1, Dst: 4}}
-	for _, kind := range []string{"on-demand", "precomputed", "hybrid", "pruned"} {
-		st := buildStrategy(kind, g, db, workload, 1, 1)
-		if st == nil {
-			t.Fatalf("%s: nil strategy", kind)
-		}
-		if path, found := st.Route(policy.Request{Src: 1, Dst: 4}); !found || len(path) == 0 {
-			t.Errorf("%s: no route served", kind)
-		}
+// TestRunRejectsUnknownStrategy pins run's exit-code contract for a bad
+// -strategy value: a usage error (2) returned, not a process exit.
+func TestRunRejectsUnknownStrategy(t *testing.T) {
+	var stdout, stderr strings.Builder
+	if code := run([]string{"-strategy", "bogus"}, strings.NewReader(""), &stdout, &stderr); code != 2 {
+		t.Fatalf("exit %d, want 2\n%s", code, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), `unknown strategy "bogus"`) {
+		t.Fatalf("no named error:\n%s", stderr.String())
 	}
 }

@@ -95,6 +95,23 @@ func TestLinkCostDefaults(t *testing.T) {
 	}
 }
 
+// TestLinkBetween pins that link lookup is order-insensitive (the graph
+// stores the canonical form) and reports a missing link.
+func TestLinkBetween(t *testing.T) {
+	g := NewGraph()
+	a := g.AddAD("a", Stub, Campus)
+	b := g.AddAD("b", Stub, Campus)
+	if err := g.AddLink(Link{A: a, B: b, Cost: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if l, ok := g.LinkBetween(b, a); !ok || l.Cost != 3 {
+		t.Errorf("LinkBetween(b, a) = %+v %v", l, ok)
+	}
+	if _, ok := g.LinkBetween(a, 99); ok {
+		t.Error("LinkBetween found a nonexistent link")
+	}
+}
+
 func TestNeighborsSorted(t *testing.T) {
 	g, a, b, c := buildTriangle(t)
 	n := g.Neighbors(a)

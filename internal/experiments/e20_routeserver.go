@@ -1,8 +1,9 @@
 package experiments
 
 import (
+	"fmt"
+
 	"repro/internal/ad"
-	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/policy"
 	"repro/internal/routeserver"
@@ -44,7 +45,11 @@ func E20RouteServer(seed int64) *metrics.Table {
 				// row gets a private copy of both.
 				g := base.Graph.Clone()
 				db := restrictedPolicy(g, seed)
-				srv := routeserver.New(buildE20Strategy(kind, g, db, workload), routeserver.Config{})
+				st, err := synthesis.NewStrategy(kind, g, db, hottestRequests(workload, len(workload)/10), 2, 2)
+				if err != nil {
+					panic(fmt.Sprintf("e20: %v", err))
+				}
+				srv := routeserver.New(st, routeserver.Config{})
 
 				phases := [][]policy.Request{workload}
 				if churn {
@@ -53,7 +58,7 @@ func E20RouteServer(seed int64) *metrics.Table {
 				var oracleOK, failures int
 				for pi, phase := range phases {
 					if pi > 0 {
-						srv.Mutate(func() { applyE20Churn(g, db) })
+						srv.MutateScoped(synthesis.FullChange(), func() { applyE20Churn(g, db) })
 					}
 					results := routeserver.ServePhase(srv, phase, clients)
 					for i, req := range phase {
@@ -87,35 +92,6 @@ func E20RouteServer(seed int64) *metrics.Table {
 	t.AddNote("churn = a lateral-link failure plus a transit policy change at half-serve; each bumps the cache generation and rebuilds the strategy")
 	t.AddNote("oracle-ok = served results identical to the exact search on the then-current topology; throughput/latency: see cmd/routed -load and BENCH_routeserver.json")
 	return t
-}
-
-// buildE20Strategy constructs the named synthesis strategy for the E20
-// internet, covering the workload's class spread (QOS/UCI in {0,1}).
-func buildE20Strategy(kind string, g *ad.Graph, db *policy.DB, workload []policy.Request) synthesis.Strategy {
-	switch kind {
-	case "precomputed":
-		var all []policy.Request
-		for qos := 0; qos < 2; qos++ {
-			for uci := 0; uci < 2; uci++ {
-				all = append(all, core.AllPairsRequests(g, true, policy.QOS(qos), policy.UCI(uci))...)
-			}
-		}
-		return synthesis.NewPrecomputed(g, db, all)
-	case "hybrid":
-		return synthesis.NewHybrid(g, db, hottestRequests(workload, len(workload)/10))
-	case "pruned":
-		var stubs []ad.ID
-		for _, info := range g.ADs() {
-			if info.Class == ad.Stub || info.Class == ad.MultihomedStub {
-				stubs = append(stubs, info.ID)
-			}
-		}
-		return synthesis.NewPrunedConfig(g, db, stubs, synthesis.PrunedConfig{
-			HopRadius: 2, QOSClasses: 2, UCIClasses: 2,
-		})
-	default:
-		return synthesis.NewOnDemand(g, db)
-	}
 }
 
 // applyE20Churn injects the mid-serve events: the first lateral link fails

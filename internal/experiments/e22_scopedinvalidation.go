@@ -61,7 +61,11 @@ func E22ScopedInvalidation(seed int64) *metrics.Table {
 			for _, mode := range []string{"full", "scoped"} {
 				g := base.Graph.Clone()
 				db := e22Policy(g, seed)
-				srv := routeserver.New(buildE20Strategy(kind, g, db, workload), routeserver.Config{})
+				st, err := synthesis.NewStrategy(kind, g, db, hottestRequests(workload, len(workload)/10), 2, 2)
+				if err != nil {
+					panic(fmt.Sprintf("e22: %v", err))
+				}
+				srv := routeserver.New(st, routeserver.Config{})
 
 				// Warm phase: the whole workload, populating the cache and
 				// its dependency index.

@@ -524,8 +524,8 @@ func pairTerms(id ad.ID, old, terms []Term) ([]Term, TermsDelta) {
 // serial, so term keys — which scoped cache invalidation indexes routes by
 // — stay stable across no-op and partial replacements. The route server
 // uses this for policy changes on a live database; callers must hold off
-// concurrent readers while mutating (e.g. via routeserver.Server.Mutate or
-// MutateScoped).
+// concurrent readers while mutating (e.g. via
+// routeserver.Server.MutateScoped).
 func (db *DB) SetTerms(id ad.ID, terms []Term) TermsDelta {
 	prepared, delta := pairTerms(id, db.terms[id], terms)
 	db.terms[id] = nil

@@ -165,7 +165,7 @@ func TestMutateScopedRetainedExcludesStale(t *testing.T) {
 	srv.Query(rCheap)
 	srv.Query(rVia2)
 	srv.Query(rNeg)
-	srv.Invalidate()
+	srv.MutateScoped(synthesis.FullChange(), nil)
 
 	// One current entry at generation 1. The stale rCheap and rNeg entries
 	// are still in the LRU (lazy deletion) — and still indexed.

@@ -119,73 +119,57 @@ func (b *Backend) Query(req policy.Request) routeserver.Result {
 	return b.srv.Query(req)
 }
 
+// apply runs one control step against the live state through the shared
+// step interpreter (plan.Apply): the graph or policy mutation and the HA
+// replication hook run inside one MutateScoped exclusive section, and a
+// link failure then flushes installed handle state crossing the link
+// (failure-driven repair). A refused step touches nothing — no epoch bump,
+// nothing replicated. Caller holds b.mu.
+func (b *Backend) apply(st wire.PlanStep) (CommitStep, error) {
+	ch, mutate, err := plan.Apply(st, b.g, b.db, b.removed)
+	if err != nil {
+		return CommitStep{}, err
+	}
+	var cs CommitStep
+	cs.Evicted, cs.Retained = b.srv.MutateScoped(ch, func() {
+		mutate()
+		b.repl(st.Op, st.A, st.B, st.Cost)
+	})
+	if st.Op == wire.CtlFail {
+		cs.Flushed = b.dp.InvalidateLink(st.A, st.B)
+	}
+	return cs, nil
+}
+
+// step applies one control step under the backend lock.
+func (b *Backend) step(st wire.PlanStep) (CommitStep, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.apply(st)
+}
+
 // Fail takes the x-y link down: scoped cache invalidation, then a flush of
 // installed handle state crossing the link (failure-driven repair).
 func (b *Backend) Fail(x, y ad.ID) (evicted, retained, flushed int, err error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.fail(x, y)
-}
-
-// fail is Fail's body; caller holds b.mu (Commit loops it over a batch
-// under one hold).
-func (b *Backend) fail(x, y ad.ID) (evicted, retained, flushed int, err error) {
-	link, found := linkOf(b.g, x, y)
-	if !found {
-		return 0, 0, 0, fmt.Errorf("no link %v-%v", x, y)
-	}
-	b.removed[[2]ad.ID{link.A, link.B}] = link
-	evicted, retained = b.srv.MutateScoped(
-		synthesis.LinkDownChange(x, y), func() {
-			b.g.RemoveLink(x, y)
-			b.repl(wire.CtlFail, x, y, 0)
-		})
-	flushed = b.dp.InvalidateLink(x, y)
-	return evicted, retained, flushed, nil
+	cs, err := b.step(wire.PlanStep{Op: wire.CtlFail, A: x, B: y})
+	return cs.Evicted, cs.Retained, cs.Flushed, err
 }
 
 // Restore brings a previously failed x-y link back up with its original
 // class and cost. Retained entries stay legal but may no longer be optimal
 // until a full invalidation.
 func (b *Backend) Restore(x, y ad.ID) (evicted, retained int, err error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.restore(x, y)
-}
-
-// restore is Restore's body; caller holds b.mu.
-func (b *Backend) restore(x, y ad.ID) (evicted, retained int, err error) {
-	key := ad.Link{A: x, B: y}.Canonical()
-	link, found := b.removed[[2]ad.ID{key.A, key.B}]
-	if !found {
-		return 0, 0, fmt.Errorf("link %v-%v was not failed here", x, y)
-	}
-	delete(b.removed, [2]ad.ID{key.A, key.B})
-	evicted, retained = b.srv.MutateScoped(
-		synthesis.LinkUpChange(x, y), func() {
-			_ = b.g.AddLink(link)
-			b.repl(wire.CtlRestore, x, y, 0)
-		})
-	return evicted, retained, nil
+	cs, err := b.step(wire.PlanStep{Op: wire.CtlRestore, A: x, B: y})
+	return cs.Evicted, cs.Retained, err
 }
 
 // SetPolicy replaces a's terms with one open term of the given cost,
-// scoping the invalidation to the term keys that actually changed.
+// scoping the invalidation to the term keys that actually changed. An
+// unknown AD is refused: nothing changes and both counts are zero
+// (HandleControl reports the error).
 func (b *Backend) SetPolicy(a ad.ID, cost uint32) (evicted, retained int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.setPolicy(a, cost)
-}
-
-// setPolicy is SetPolicy's body; caller holds b.mu.
-func (b *Backend) setPolicy(a ad.ID, cost uint32) (evicted, retained int) {
-	term := policy.OpenTerm(a, 0)
-	term.Cost = cost
-	ch := synthesis.PolicyChangeOf(b.db.DiffTerms(a, []policy.Term{term}))
-	return b.srv.MutateScoped(ch, func() {
-		b.db.SetTerms(a, []policy.Term{term})
-		b.repl(wire.CtlPolicy, a, 0, cost)
-	})
+	cs, _ := b.step(wire.PlanStep{Op: wire.CtlPolicy, A: a, Cost: cost})
+	return cs.Evicted, cs.Retained
 }
 
 // Invalidate forces the full generation bump, restoring optimality after
@@ -193,7 +177,7 @@ func (b *Backend) setPolicy(a ad.ID, cost uint32) (evicted, retained int) {
 func (b *Backend) Invalidate() uint64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.srv.Mutate(func() { b.repl(wire.CtlInvalidate, 0, 0, 0) })
+	b.srv.MutateScoped(synthesis.FullChange(), func() { b.repl(wire.CtlInvalidate, 0, 0, 0) })
 	return b.srv.Generation()
 }
 
@@ -205,30 +189,17 @@ func (b *Backend) Invalidate() uint64 {
 // (the session-parity test pins this).
 func (b *Backend) HandleControl(q *wire.Control) *wire.ControlReply {
 	rep := &wire.ControlReply{ID: q.ID}
-	switch q.Op {
-	case wire.CtlFail:
-		evicted, retained, flushed, err := b.Fail(q.A, q.B)
-		if err != nil {
-			rep.Code, rep.Err = wire.CtlErr, err.Error()
-			break
-		}
-		rep.Evicted, rep.Retained, rep.Flushed =
-			uint64(evicted), uint64(retained), uint64(flushed)
-	case wire.CtlRestore:
-		evicted, retained, err := b.Restore(q.A, q.B)
-		if err != nil {
-			rep.Code, rep.Err = wire.CtlErr, err.Error()
-			break
-		}
-		rep.Evicted, rep.Retained = uint64(evicted), uint64(retained)
-	case wire.CtlPolicy:
-		evicted, retained := b.SetPolicy(q.A, q.Cost)
-		rep.Evicted, rep.Retained = uint64(evicted), uint64(retained)
-	case wire.CtlInvalidate:
+	if q.Op == wire.CtlInvalidate {
 		rep.Gen = b.Invalidate()
-	default:
-		rep.Code, rep.Err = wire.CtlErr, "unknown control op"
+		return rep
 	}
+	cs, err := b.step(wire.PlanStep{Op: q.Op, A: q.A, B: q.B, Cost: q.Cost})
+	if err != nil {
+		rep.Code, rep.Err = wire.CtlErr, err.Error()
+		return rep
+	}
+	rep.Evicted, rep.Retained, rep.Flushed =
+		uint64(cs.Evicted), uint64(cs.Retained), uint64(cs.Flushed)
 	return rep
 }
 
@@ -239,7 +210,7 @@ const maxPendingPlans = 16
 
 // pendingPlan is one computed, not-yet-committed what-if plan.
 type pendingPlan struct {
-	steps  []plan.Step
+	steps  []wire.PlanStep
 	report *plan.Report
 }
 
@@ -248,7 +219,7 @@ type pendingPlan struct {
 // take — and parks the batch under a fresh plan ID for a later Commit. The
 // recorded query log (when the server has one) is replayed as the assessed
 // workload.
-func (b *Backend) Plan(steps []plan.Step) (id uint64, rep *plan.Report, err error) {
+func (b *Backend) Plan(steps []wire.PlanStep) (id uint64, rep *plan.Report, err error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	rep, err = plan.Compute(b.srv, b.dp, b.g, b.db, b.removed, steps,
@@ -309,20 +280,9 @@ func (b *Backend) Commit(id uint64) (CommitResult, error) {
 	}
 	var out CommitResult
 	for i, st := range p.steps {
-		var cs CommitStep
-		var err error
-		switch st.Kind {
-		case plan.StepFail:
-			cs.Evicted, cs.Retained, cs.Flushed, err = b.fail(st.A, st.B)
-		case plan.StepRestore:
-			cs.Evicted, cs.Retained, err = b.restore(st.A, st.B)
-		case plan.StepPolicy:
-			cs.Evicted, cs.Retained = b.setPolicy(st.A, st.Cost)
-		default:
-			err = fmt.Errorf("unknown step kind %d", st.Kind)
-		}
+		cs, err := b.apply(st)
 		if err != nil {
-			return out, fmt.Errorf("plan %d step %d (%s): %v", id, i+1, st.Label(), err)
+			return out, fmt.Errorf("plan %d step %d (%s): %v", id, i+1, st, err)
 		}
 		out.Steps = append(out.Steps, cs)
 		out.Evicted += cs.Evicted
@@ -391,15 +351,4 @@ func (b *Backend) Repair() (attempted, repaired int) {
 // State reports the data-plane metrics.
 func (b *Backend) State() routeserver.DataPlaneMetrics {
 	return b.dp.Metrics()
-}
-
-// linkOf returns the graph's link between a and b, if present.
-func linkOf(g *ad.Graph, a, b ad.ID) (ad.Link, bool) {
-	want := ad.Link{A: a, B: b}.Canonical()
-	for _, l := range g.Links() {
-		if l.A == want.A && l.B == want.B {
-			return l, true
-		}
-	}
-	return ad.Link{}, false
 }

@@ -93,7 +93,7 @@ func New(be *Backend, cfg Config) *Daemon {
 }
 
 // SetRedirect installs (or with nil removes) the HA redirect gate: while
-// fn reports true, Query/Control/DataOp requests are answered with
+// fn reports true, Query/Control/DataOp/Plan requests are answered with
 // NotPrimary instead of being dispatched. Stats and Drain are always
 // served locally — operators can inspect and drain a follower directly.
 func (d *Daemon) SetRedirect(fn func() (primaryID uint32, addr string, redirect bool)) {
@@ -341,27 +341,19 @@ func (s *session) close() {
 	s.closeOnce.Do(func() { s.conn.Close() })
 }
 
+// redirectable is a request a follower hands to the primary: queries,
+// control ops, data-plane ops and plans carry RequestID; stats and drain do
+// not, so they are always answered locally.
+type redirectable interface{ RequestID() uint64 }
+
 // dispatch executes one protocol request against the backend and builds
 // the reply. The drain result asks the session to trigger a daemon drain
 // after the ack is queued.
 func (d *Daemon) dispatch(m wire.Message) (reply wire.Message, drain bool) {
 	if p := d.redirect.Load(); p != nil {
-		switch q := m.(type) {
-		case *wire.Query:
+		if q, ok := m.(redirectable); ok {
 			if id, addr, redir := (*p)(); redir {
-				return &wire.NotPrimary{ID: q.ID, PrimaryID: id, Addr: addr}, false
-			}
-		case *wire.Control:
-			if id, addr, redir := (*p)(); redir {
-				return &wire.NotPrimary{ID: q.ID, PrimaryID: id, Addr: addr}, false
-			}
-		case *wire.DataOp:
-			if id, addr, redir := (*p)(); redir {
-				return &wire.NotPrimary{ID: q.ID, PrimaryID: id, Addr: addr}, false
-			}
-		case *wire.Plan:
-			if id, addr, redir := (*p)(); redir {
-				return &wire.NotPrimary{ID: q.ID, PrimaryID: id, Addr: addr}, false
+				return &wire.NotPrimary{ID: q.RequestID(), PrimaryID: id, Addr: addr}, false
 			}
 		}
 	}

@@ -561,20 +561,3 @@ func TestLoadRunEventErrorStopsTimeline(t *testing.T) {
 		t.Fatalf("served %d of %d", rep.Served, rep.Requests)
 	}
 }
-
-func TestLinkOf(t *testing.T) {
-	g := ad.NewGraph()
-	a := g.AddAD("a", ad.Stub, ad.Campus)
-	b := g.AddAD("b", ad.Stub, ad.Campus)
-	if err := g.AddLink(ad.Link{A: a, B: b, Cost: 3}); err != nil {
-		t.Fatal(err)
-	}
-	// Link lookup is order-insensitive: the graph stores the canonical form.
-	l, ok := linkOf(g, b, a)
-	if !ok || l.Cost != 3 {
-		t.Errorf("linkOf(b, a) = %+v %v", l, ok)
-	}
-	if _, ok := linkOf(g, a, 99); ok {
-		t.Error("linkOf found a nonexistent link")
-	}
-}

@@ -144,7 +144,7 @@ func TestDataPlaneLinkFailureRepairsAroundIt(t *testing.T) {
 	}
 	h := dp.Install(req, res.Path)
 	// Fail the t1-dst link on the live server, then flush crossing state.
-	srv.Mutate(func() { g.RemoveLink(t1, dst) })
+	srv.MutateScoped(synthesis.FullChange(), func() { g.RemoveLink(t1, dst) })
 	if flushed := dp.InvalidateLink(t1, dst); flushed == 0 {
 		t.Fatal("no state flushed for the failed link")
 	}

@@ -58,7 +58,7 @@ func TestLiveCounterInvariant(t *testing.T) {
 
 	// Full bump zeroes the counters; the stale entries still resident must
 	// not be counted.
-	srv.Invalidate()
+	srv.MutateScoped(synthesis.FullChange(), nil)
 	checkLive(t, srv, "after full bump")
 
 	// Stale-on-sight: looking up a stale key deletes it lazily.

@@ -172,7 +172,7 @@ func TestParallelMissesStraddleMutateScoped(t *testing.T) {
 					}
 				})
 			if i%2 == 1 {
-				srv.Mutate(nil)
+				srv.MutateScoped(synthesis.FullChange(), nil)
 			}
 		}
 	}()
@@ -183,7 +183,7 @@ func TestParallelMissesStraddleMutateScoped(t *testing.T) {
 	if snap.Hits+snap.Misses+snap.Coalesced != snap.Queries {
 		t.Fatalf("counter accounting broken: %+v", snap)
 	}
-	srv.Invalidate()
+	srv.MutateScoped(synthesis.FullChange(), nil)
 	for _, req := range workload[:40] {
 		want := synthesis.FindRoute(g, db, req)
 		got := srv.Query(req)

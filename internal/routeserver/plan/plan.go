@@ -5,8 +5,9 @@
 //
 // A plan is computed in two phases. First, a read-only snapshot under the
 // server's strategy lock (Server.CollectAffected): the graph and policy
-// database are cloned twice from one consistent cut, the batch is simulated
-// on the post-change clones to derive each step's synthesis.Change, and each
+// database are cloned twice from one consistent cut, the batch is applied
+// to the post-change clones through Apply — the same step interpreter a
+// commit runs — to derive each step's synthesis.Change, and each
 // change's cache victims are resolved through the same reverse indexes and
 // AffectsPath/AffectsNegative soundness rules scoped eviction applies —
 // without deleting anything. Nothing a concurrent query can observe is
@@ -36,43 +37,49 @@ import (
 	"repro/internal/policytool"
 	"repro/internal/routeserver"
 	"repro/internal/synthesis"
+	"repro/internal/wire"
 )
 
-// StepKind enumerates the proposable control mutations — the same three
-// scoped operations daemon.Backend applies (fail, restore, set-policy).
-type StepKind uint8
-
-const (
-	// StepFail proposes taking the A-B link down.
-	StepFail StepKind = iota + 1
-	// StepRestore proposes restoring the previously failed A-B link.
-	StepRestore
-	// StepPolicy proposes replacing A's terms with one open term of the
-	// given cost (Backend.SetPolicy's operation).
-	StepPolicy
-)
-
-// Step is one proposed control mutation in a plan batch.
-type Step struct {
-	Kind StepKind
-	// A, B are the link endpoints (fail/restore); A alone is the
-	// advertiser for a policy step.
-	A, B ad.ID
-	// Cost is the open-term cost for a policy step.
-	Cost uint32
-}
-
-// Label renders the step the way the routed CLI spells it.
-func (st Step) Label() string {
-	switch st.Kind {
-	case StepFail:
-		return fmt.Sprintf("fail %v-%v", st.A, st.B)
-	case StepRestore:
-		return fmt.Sprintf("restore %v-%v", st.A, st.B)
-	case StepPolicy:
-		return fmt.Sprintf("policy %v cost %d", st.A, st.Cost)
+// Apply is the one interpreter of a control step — fail a link, restore
+// a link failed here, or replace an AD's terms with one open term of the
+// given cost — shared by the live backend, its plan/commit workflow, and
+// scenario plan events, so a prediction and the commit it precedes apply
+// the same step by construction. It checks st against g, db and failed
+// (the link exists; the link was failed here and is down; the AD exists),
+// records or clears the failed-link entry, and derives the step's
+// synthesis.Change; it returns the graph or policy mutation for the caller
+// to run (the backend runs it inside MutateScoped). On error nothing is
+// touched.
+func Apply(st wire.PlanStep, g *ad.Graph, db *policy.DB, failed map[[2]ad.ID]ad.Link) (synthesis.Change, func(), error) {
+	key := synthesis.CanonicalPair(st.A, st.B)
+	switch st.Op {
+	case wire.CtlFail:
+		link, ok := g.LinkBetween(st.A, st.B)
+		if !ok {
+			return synthesis.Change{}, nil, fmt.Errorf("no link %v-%v", st.A, st.B)
+		}
+		failed[key] = link
+		return synthesis.LinkDownChange(st.A, st.B), func() { g.RemoveLink(st.A, st.B) }, nil
+	case wire.CtlRestore:
+		link, ok := failed[key]
+		if !ok {
+			return synthesis.Change{}, nil, fmt.Errorf("link %v-%v was not failed here", st.A, st.B)
+		}
+		if g.HasLink(st.A, st.B) {
+			return synthesis.Change{}, nil, fmt.Errorf("link %v-%v is already up", st.A, st.B)
+		}
+		delete(failed, key)
+		return synthesis.LinkUpChange(st.A, st.B), func() { _ = g.AddLink(link) }, nil
+	case wire.CtlPolicy:
+		if _, ok := g.AD(st.A); !ok {
+			return synthesis.Change{}, nil, fmt.Errorf("unknown AD %v", st.A)
+		}
+		term := policy.OpenTerm(st.A, 0)
+		term.Cost = st.Cost
+		terms := []policy.Term{term}
+		return synthesis.PolicyChangeOf(db.DiffTerms(st.A, terms)), func() { db.SetTerms(st.A, terms) }, nil
 	default:
-		return fmt.Sprintf("step(%d)", st.Kind)
+		return synthesis.Change{}, nil, fmt.Errorf("unknown control op %d", st.Op)
 	}
 }
 
@@ -96,7 +103,7 @@ type Config struct {
 // are incremental: a cache entry or flow already claimed by an earlier
 // step is not counted again, mirroring sequential application.
 type StepReport struct {
-	Step   Step
+	Step   wire.PlanStep
 	Change synthesis.Change
 	// Evicted counts cache entries this step newly evicts; Retained is
 	// the current-generation population still cached after it.
@@ -156,13 +163,13 @@ type Report struct {
 // (Backend's map); Compute never mutates any of them. The caller must hold
 // whatever lock serializes control mutations (Backend.Plan holds the
 // backend lock), so g, db, and removed are stable for the duration.
-func Compute(srv *routeserver.Server, dp *routeserver.DataPlane, g *ad.Graph, db *policy.DB, removed map[[2]ad.ID]ad.Link, steps []Step, cfg Config) (*Report, error) {
+func Compute(srv *routeserver.Server, dp *routeserver.DataPlane, g *ad.Graph, db *policy.DB, removed map[[2]ad.ID]ad.Link, steps []wire.PlanStep, cfg Config) (*Report, error) {
 	if len(steps) == 0 {
 		return nil, fmt.Errorf("empty plan")
 	}
 
 	// Phase 1: consistent snapshot under the strategy lock. prepare clones
-	// the pre-change state, simulates the batch on a second clone to derive
+	// the pre-change state, applies the batch to a second clone to derive
 	// each step's Change, and CollectAffected resolves the victims.
 	var (
 		gBefore, gAfter   *ad.Graph
@@ -178,34 +185,12 @@ func Compute(srv *routeserver.Server, dp *routeserver.DataPlane, g *ad.Graph, db
 		}
 		changes = make([]synthesis.Change, len(steps))
 		for i, st := range steps {
-			switch st.Kind {
-			case StepFail:
-				link, ok := gAfter.LinkBetween(st.A, st.B)
-				if !ok {
-					return nil, fmt.Errorf("step %d: no link %v-%v", i+1, st.A, st.B)
-				}
-				rem[synthesis.CanonicalPair(st.A, st.B)] = link
-				gAfter.RemoveLink(st.A, st.B)
-				changes[i] = synthesis.LinkDownChange(st.A, st.B)
-			case StepRestore:
-				key := synthesis.CanonicalPair(st.A, st.B)
-				link, ok := rem[key]
-				if !ok {
-					return nil, fmt.Errorf("step %d: link %v-%v was not failed here", i+1, st.A, st.B)
-				}
-				delete(rem, key)
-				if err := gAfter.AddLink(link); err != nil {
-					return nil, fmt.Errorf("step %d: restore %v-%v: %v", i+1, st.A, st.B, err)
-				}
-				changes[i] = synthesis.LinkUpChange(st.A, st.B)
-			case StepPolicy:
-				term := policy.OpenTerm(st.A, 0)
-				term.Cost = st.Cost
-				changes[i] = synthesis.PolicyChangeOf(dbAfter.DiffTerms(st.A, []policy.Term{term}))
-				dbAfter.SetTerms(st.A, []policy.Term{term})
-			default:
-				return nil, fmt.Errorf("step %d: unknown kind %d", i+1, st.Kind)
+			ch, mutate, err := Apply(st, gAfter, dbAfter, rem)
+			if err != nil {
+				return nil, fmt.Errorf("step %d: %v", i+1, err)
 			}
+			mutate()
+			changes[i] = ch
 		}
 		return changes, nil
 	}
@@ -230,7 +215,7 @@ func Compute(srv *routeserver.Server, dp *routeserver.DataPlane, g *ad.Graph, db
 			}
 		}
 		sr.Retained = live - len(evicted)
-		if steps[i].Kind == StepFail && dp != nil {
+		if steps[i].Op == wire.CtlFail && dp != nil {
 			for _, h := range dp.FlowsCrossing(steps[i].A, steps[i].B) {
 				if _, dup := tornDown[h]; !dup {
 					tornDown[h] = struct{}{}
@@ -328,9 +313,9 @@ func Compute(srv *routeserver.Server, dp *routeserver.DataPlane, g *ad.Graph, db
 
 // focusAD picks the AD whose transit load the impact summary tracks: the
 // first policy step's advertiser, else the first step's A endpoint.
-func focusAD(steps []Step) ad.ID {
+func focusAD(steps []wire.PlanStep) ad.ID {
 	for _, st := range steps {
-		if st.Kind == StepPolicy {
+		if st.Op == wire.CtlPolicy {
 			return st.A
 		}
 	}

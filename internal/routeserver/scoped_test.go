@@ -112,7 +112,7 @@ func TestMutateScopedLinkUpRetainsLegalEvictsNegatives(t *testing.T) {
 		t.Fatalf("retained route %v is illegal", res.Path)
 	}
 	// A full invalidation restores optimality.
-	srv.Invalidate()
+	srv.MutateScoped(synthesis.FullChange(), nil)
 	if res := srv.Query(rCheap); !res.Path.Equal(ad.Path{src, t1, dst}) {
 		t.Fatalf("post-invalidate route = %+v, want the cheap path back", res)
 	}
@@ -148,7 +148,7 @@ func TestMutateScopedPolicyEvictsByTerm(t *testing.T) {
 
 	// AD-level fallback (AllTerms) taints every route transiting the AD,
 	// and — because it may broaden — every cached negative too.
-	srv.Invalidate()
+	srv.MutateScoped(synthesis.FullChange(), nil)
 	srv.Query(rVia1)
 	evicted, _ = srv.MutateScoped(synthesis.PolicyChangeAt(t1), nil)
 	if evicted != 2 {
@@ -221,7 +221,7 @@ func TestScopedChurnStress(t *testing.T) {
 			srv.MutateScoped(
 				synthesis.PolicyChangeOf(db.DiffTerms(target, originalTerms)),
 				func() { db.SetTerms(target, originalTerms) })
-			srv.Mutate(nil) // interleave a full bump
+			srv.MutateScoped(synthesis.FullChange(), nil) // interleave a full bump
 		}
 	}()
 	wg.Wait()
@@ -239,7 +239,7 @@ func TestScopedChurnStress(t *testing.T) {
 
 	// The world is back in its initial state; after a full bump every
 	// answer must match the oracle exactly.
-	srv.Invalidate()
+	srv.MutateScoped(synthesis.FullChange(), nil)
 	for _, req := range workload[:50] {
 		want := synthesis.FindRoute(g, db, req)
 		got := srv.Query(req)

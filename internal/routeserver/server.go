@@ -363,7 +363,7 @@ func (s MetricsSnapshot) HitRate() float64 {
 }
 
 // Server is the concurrent route-query engine. Queries may be issued from
-// any number of goroutines; Invalidate/Mutate may run concurrently with
+// any number of goroutines; MutateScoped may run concurrently with
 // queries.
 type Server struct {
 	cfg     Config
@@ -655,23 +655,6 @@ func (s *Server) search(req policy.Request) (Result, synthesis.Footprint) {
 	return res, fp
 }
 
-// Invalidate reacts to a topology or policy change: it bumps the cache
-// generation (so every cached route is stale) and rebuilds the strategy.
-// In-flight computations finish against whichever state they observed and
-// are tagged accordingly; their results are never served across the bump.
-func (s *Server) Invalidate() {
-	s.Mutate(nil)
-}
-
-// Mutate applies fn — which may mutate the graph or policy database the
-// strategy synthesizes over — with exclusive access, then invalidates the
-// whole cache. Use this for unscoped changes on a live server; queries
-// that hit the cache keep being served concurrently (from the pre-change
-// generation) until the bump lands.
-func (s *Server) Mutate(fn func()) {
-	s.MutateScoped(synthesis.FullChange(), fn)
-}
-
 // MutateScoped applies fn with exclusive access, then evicts only the
 // cache entries the change can affect, resolved through the reverse
 // dependency index: routes crossing a failed link, routes admitted by a
@@ -679,7 +662,14 @@ func (s *Server) Mutate(fn func()) {
 // routable (link restored, terms added) — cached negative answers.
 // Everything else keeps serving with zero recomputation. The wrapped
 // strategy gets the same change for partial invalidation of its own
-// tables. A ChangeFull falls back to the legacy full generation bump.
+// tables.
+//
+// A ChangeFull (synthesis.FullChange()) is the full generation bump, for
+// unscoped changes: every cached route goes stale and the strategy
+// rebuilds. In-flight computations finish against whichever state they
+// observed and are tagged accordingly; their results are never served
+// across the bump, while queries that hit the cache keep being served from
+// the pre-change generation until it lands.
 //
 // Returns the evicted and retained entry counts (0, 0 for a full bump,
 // whose eviction is lazy).

@@ -153,7 +153,7 @@ func TestServerInvalidationReflectsTopologyChange(t *testing.T) {
 	if !r1.Found || !r1.Path.Contains(n2) {
 		t.Fatalf("initial route should take the cheap branch via %v: %v", n2, r1.Path)
 	}
-	srv.Mutate(func() { g.RemoveLink(n2, n4) })
+	srv.MutateScoped(synthesis.FullChange(), func() { g.RemoveLink(n2, n4) })
 	r2 := srv.Query(req)
 	if !r2.Found || !r2.Path.Contains(n3) {
 		t.Fatalf("post-failure route should take %v: %v", n3, r2.Path)
@@ -230,9 +230,9 @@ func TestServerConcurrentChurn(t *testing.T) {
 		l := links[len(links)-1]
 		for i := 0; i < 6; i++ {
 			if i%2 == 0 {
-				srv.Mutate(func() { g.RemoveLink(l.A, l.B) })
+				srv.MutateScoped(synthesis.FullChange(), func() { g.RemoveLink(l.A, l.B) })
 			} else {
-				srv.Mutate(func() {
+				srv.MutateScoped(synthesis.FullChange(), func() {
 					if err := g.AddLink(l); err != nil {
 						panic(err)
 					}

@@ -24,10 +24,12 @@ import (
 	"repro/internal/protocols/lshh"
 	"repro/internal/protocols/orwg"
 	"repro/internal/protocols/plaindv"
+	"repro/internal/routeserver/plan"
 	"repro/internal/sim"
 	"repro/internal/synthesis"
 	"repro/internal/topology"
 	"repro/internal/trafficgen"
+	"repro/internal/wire"
 )
 
 // Scenario is the top-level declarative description.
@@ -365,7 +367,7 @@ type Mutation struct {
 
 // Mutations compiles the scenario's events into graph/policy closures, for
 // route-serving front ends (cmd/routed) that replay events as churn through
-// routeserver.Server.Mutate rather than through a protocol simulation. Link
+// routeserver.Server.MutateScoped rather than through a protocol simulation. Link
 // metadata is resolved against the pristine graph up front, so a "restore"
 // re-adds the exact link an earlier "fail" removed. It also validates the
 // event list; Validate relies on this.
@@ -375,7 +377,7 @@ func (sc *Scenario) Mutations(g *ad.Graph, db *policy.DB) ([]Mutation, error) {
 		switch ev.Action {
 		case "fail", "restore":
 			a, b := ad.ID(ev.A), ad.ID(ev.B)
-			link, ok := findLink(g, a, b)
+			link, ok := g.LinkBetween(a, b)
 			if !ok {
 				return nil, fmt.Errorf("scenario: event %d: no link %v-%v", i+1, a, b)
 			}
@@ -415,7 +417,7 @@ func (sc *Scenario) Mutations(g *ad.Graph, db *policy.DB) ([]Mutation, error) {
 		case "plan":
 			// A plan predicts, it never mutates: validate the batch and
 			// emit no Mutation, so churn replay skips it.
-			if err := validatePlanEvent(g, i, ev); err != nil {
+			if err := validatePlanEvent(g, db, i, ev); err != nil {
 				return nil, err
 			}
 		default:
@@ -425,34 +427,42 @@ func (sc *Scenario) Mutations(g *ad.Graph, db *policy.DB) ([]Mutation, error) {
 	return out, nil
 }
 
-// validatePlanEvent checks a "plan" event's batch and assert bounds
-// without touching the graph or policy database.
-func validatePlanEvent(g *ad.Graph, i int, ev Event) error {
+// applyPlan applies a "plan" event's batch, in order, to clones of g and db
+// through the plan engine's step interpreter — the one the route-server
+// daemon commits with; a restore must follow a fail of the same link
+// earlier in the batch.
+func applyPlan(g *ad.Graph, db *policy.DB, i int, ev Event) (*ad.Graph, *policy.DB, error) {
 	if len(ev.Steps) == 0 {
-		return fmt.Errorf("scenario: event %d: plan needs at least one step", i+1)
+		return nil, nil, fmt.Errorf("scenario: event %d: plan needs at least one step", i+1)
 	}
-	failed := make(map[[2]ad.ID]bool)
-	for j, st := range ev.Steps {
-		switch st.Action {
+	gAfter, dbAfter := g.Clone(), db.Clone()
+	failed := make(map[[2]ad.ID]ad.Link)
+	for j, se := range ev.Steps {
+		st := wire.PlanStep{A: ad.ID(se.A), B: ad.ID(se.B)}
+		switch se.Action {
 		case "fail":
-			a, b := ad.ID(st.A), ad.ID(st.B)
-			if _, ok := findLink(g, a, b); !ok {
-				return fmt.Errorf("scenario: event %d step %d: no link %v-%v", i+1, j+1, a, b)
-			}
-			failed[synthesis.CanonicalPair(a, b)] = true
+			st.Op = wire.CtlFail
 		case "restore":
-			a, b := ad.ID(st.A), ad.ID(st.B)
-			if !failed[synthesis.CanonicalPair(a, b)] {
-				return fmt.Errorf("scenario: event %d step %d: restore %v-%v does not follow a fail of it in this plan", i+1, j+1, a, b)
-			}
-			delete(failed, synthesis.CanonicalPair(a, b))
+			st.Op = wire.CtlRestore
 		case "policy":
-			if _, ok := g.AD(ad.ID(st.AD)); !ok {
-				return fmt.Errorf("scenario: event %d step %d: unknown AD %v", i+1, j+1, ad.ID(st.AD))
-			}
+			st = wire.PlanStep{Op: wire.CtlPolicy, A: ad.ID(se.AD), Cost: se.Cost}
 		default:
-			return fmt.Errorf("scenario: event %d step %d: unknown plan step action %q", i+1, j+1, st.Action)
+			return nil, nil, fmt.Errorf("scenario: event %d step %d: unknown plan step action %q", i+1, j+1, se.Action)
 		}
+		_, mutate, err := plan.Apply(st, gAfter, dbAfter, failed)
+		if err != nil {
+			return nil, nil, fmt.Errorf("scenario: event %d step %d: %v", i+1, j+1, err)
+		}
+		mutate()
+	}
+	return gAfter, dbAfter, nil
+}
+
+// validatePlanEvent checks a "plan" event's batch — on clones, so the
+// graph and policy database are untouched — and its assert bounds.
+func validatePlanEvent(g *ad.Graph, db *policy.DB, i int, ev Event) error {
+	if _, _, err := applyPlan(g, db, i, ev); err != nil {
+		return err
 	}
 	if as := ev.Assert; as != nil {
 		for name, v := range map[string]*int{
@@ -471,35 +481,9 @@ func validatePlanEvent(g *ad.Graph, i int, ev Event) error {
 // current graph and policy database — the live scenario is untouched —
 // and enforces the event's assert bounds on the predicted report.
 func evaluatePlanEvent(g *ad.Graph, db *policy.DB, reqs []policy.Request, i int, ev Event) (gained, lost, unroutable int, err error) {
-	gAfter, dbAfter := g.Clone(), db.Clone()
-	removed := make(map[[2]ad.ID]ad.Link)
-	for j, st := range ev.Steps {
-		switch st.Action {
-		case "fail":
-			a, b := ad.ID(st.A), ad.ID(st.B)
-			link, ok := gAfter.LinkBetween(a, b)
-			if !ok {
-				return 0, 0, 0, fmt.Errorf("scenario: event %d step %d: no link %v-%v", i+1, j+1, a, b)
-			}
-			removed[synthesis.CanonicalPair(a, b)] = link
-			gAfter.RemoveLink(a, b)
-		case "restore":
-			a, b := ad.ID(st.A), ad.ID(st.B)
-			link, ok := removed[synthesis.CanonicalPair(a, b)]
-			if !ok {
-				return 0, 0, 0, fmt.Errorf("scenario: event %d step %d: restore %v-%v does not follow a fail of it in this plan", i+1, j+1, a, b)
-			}
-			delete(removed, synthesis.CanonicalPair(a, b))
-			if err := gAfter.AddLink(link); err != nil {
-				return 0, 0, 0, fmt.Errorf("scenario: event %d step %d: %w", i+1, j+1, err)
-			}
-		case "policy":
-			term := policy.OpenTerm(ad.ID(st.AD), 0)
-			term.Cost = st.Cost
-			dbAfter.SetTerms(ad.ID(st.AD), []policy.Term{term})
-		default:
-			return 0, 0, 0, fmt.Errorf("scenario: event %d step %d: unknown plan step action %q", i+1, j+1, st.Action)
-		}
+	gAfter, dbAfter, err := applyPlan(g, db, i, ev)
+	if err != nil {
+		return 0, 0, 0, err
 	}
 	for _, req := range reqs {
 		before := synthesis.FindRoute(g, db, req)
@@ -526,17 +510,6 @@ func evaluatePlanEvent(g *ad.Graph, db *policy.DB, reqs []policy.Request, i int,
 		}
 	}
 	return gained, lost, unroutable, nil
-}
-
-// findLink returns the graph's link between a and b, if present.
-func findLink(g *ad.Graph, a, b ad.ID) (ad.Link, bool) {
-	for _, l := range g.Links() {
-		want := ad.Link{A: a, B: b}.Canonical()
-		if l.A == want.A && l.B == want.B {
-			return l, true
-		}
-	}
-	return ad.Link{}, false
 }
 
 // Run executes the scenario and writes a phased report to w.

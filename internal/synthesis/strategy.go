@@ -1,6 +1,8 @@
 package synthesis
 
 import (
+	"fmt"
+
 	"repro/internal/ad"
 	"repro/internal/policy"
 )
@@ -54,6 +56,45 @@ type Strategy interface {
 	Footprint(req policy.Request, path ad.Path) Footprint
 	// Name identifies the strategy in reports.
 	Name() string
+}
+
+// NewStrategy builds the named strategy — "on-demand", "precomputed",
+// "hybrid" or "pruned" — over g and db for traffic in qos × uci classes
+// (each at least 1). Precomputed covers every ordered stub pair in those
+// classes at hour 12, hybrid precomputes the caller's hot set, and pruned
+// precomputes within two hops of every stub. An unknown kind is an error.
+func NewStrategy(kind string, g *ad.Graph, db *policy.DB, hot []policy.Request, qos, uci int) (Strategy, error) {
+	var stubs []ad.ID
+	for _, info := range g.ADs() {
+		if info.Class == ad.Stub || info.Class == ad.MultihomedStub {
+			stubs = append(stubs, info.ID)
+		}
+	}
+	switch kind {
+	case "on-demand":
+		return NewOnDemand(g, db), nil
+	case "precomputed":
+		var all []policy.Request
+		for q := 0; q < max(qos, 1); q++ {
+			for u := 0; u < max(uci, 1); u++ {
+				for _, src := range stubs {
+					for _, dst := range stubs {
+						if src != dst {
+							all = append(all, policy.Request{Src: src, Dst: dst, QOS: policy.QOS(q), UCI: policy.UCI(u), Hour: 12})
+						}
+					}
+				}
+			}
+		}
+		return NewPrecomputed(g, db, all), nil
+	case "hybrid":
+		return NewHybrid(g, db, hot), nil
+	case "pruned":
+		return NewPrunedConfig(g, db, stubs, PrunedConfig{
+			HopRadius: 2, QOSClasses: qos, UCIClasses: uci,
+		}), nil
+	}
+	return nil, fmt.Errorf("unknown strategy %q; choose on-demand, precomputed, hybrid, or pruned", kind)
 }
 
 // refill reconciles one table entry with a scoped change: entries the

@@ -175,3 +175,23 @@ func TestInvalidatePreservesStats(t *testing.T) {
 		})
 	}
 }
+
+// TestNewStrategyKinds builds every named strategy over the diamond and
+// serves a route through each; an unknown name is an error.
+func TestNewStrategyKinds(t *testing.T) {
+	g, s, _, _, d := diamond(t)
+	db := policy.OpenDB(g)
+	req := policy.Request{Src: s, Dst: d}
+	for _, kind := range []string{"on-demand", "precomputed", "hybrid", "pruned"} {
+		st, err := NewStrategy(kind, g, db, []policy.Request{req}, 1, 1)
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		if path, found := st.Route(req); !found || len(path) == 0 {
+			t.Errorf("%s: no route served", kind)
+		}
+	}
+	if _, err := NewStrategy("bogus", g, db, nil, 1, 1); err == nil {
+		t.Error("unknown strategy accepted")
+	}
+}

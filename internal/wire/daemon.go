@@ -76,6 +76,9 @@ type Query struct {
 // Type implements Message.
 func (*Query) Type() MsgType { return TypeQuery }
 
+// RequestID returns the request's correlation ID.
+func (m *Query) RequestID() uint64 { return m.ID }
+
 func (m *Query) appendBody(dst []byte) []byte {
 	dst = appendU64(dst, m.ID)
 	return appendRequest(dst, m.Req)
@@ -125,6 +128,9 @@ type Control struct {
 
 // Type implements Message.
 func (*Control) Type() MsgType { return TypeControl }
+
+// RequestID returns the request's correlation ID.
+func (m *Control) RequestID() uint64 { return m.ID }
 
 func (m *Control) appendBody(dst []byte) []byte {
 	dst = appendU64(dst, m.ID)
@@ -195,6 +201,9 @@ type DataOp struct {
 
 // Type implements Message.
 func (*DataOp) Type() MsgType { return TypeDataOp }
+
+// RequestID returns the request's correlation ID.
+func (m *DataOp) RequestID() uint64 { return m.ID }
 
 func (m *DataOp) appendBody(dst []byte) []byte {
 	dst = appendU64(dst, m.ID)

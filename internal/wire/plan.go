@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"fmt"
+
 	"repro/internal/ad"
 )
 
@@ -20,6 +22,20 @@ type PlanStep struct {
 	Cost uint32
 }
 
+// String renders the step the way the routed CLI spells it.
+func (st PlanStep) String() string {
+	switch st.Op {
+	case CtlFail:
+		return fmt.Sprintf("fail %v-%v", st.A, st.B)
+	case CtlRestore:
+		return fmt.Sprintf("restore %v-%v", st.A, st.B)
+	case CtlPolicy:
+		return fmt.Sprintf("policy %v cost %d", st.A, st.Cost)
+	default:
+		return fmt.Sprintf("step(%d)", st.Op)
+	}
+}
+
 // Plan proposes a what-if batch (Commit false, Steps set) or asks to apply
 // a previously computed plan (Commit true, PlanID set).
 type Plan struct {
@@ -31,6 +47,9 @@ type Plan struct {
 
 // Type implements Message.
 func (*Plan) Type() MsgType { return TypePlan }
+
+// RequestID returns the request's correlation ID.
+func (m *Plan) RequestID() uint64 { return m.ID }
 
 func (m *Plan) appendBody(dst []byte) []byte {
 	dst = appendU64(dst, m.ID)
